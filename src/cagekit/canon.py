@@ -3,53 +3,127 @@
 Certificates are the graph6 encoding of a canonical relabeling, so equal
 certificates hold exactly for isomorphic graphs and the certificate doubles
 as a replayable description of the graph.
+
+A coloring is an ordered partition: each class fills a run of positions and
+is named by its first position, so names grow with the class ids `refine`
+returns. Refinement is round-synchronous: each round splits every class by
+the sorted names of its members' neighbors and orders the pieces by that
+signature, exactly as a full round over all vertices would. But a round
+signs only the members next to a vertex that moved in the previous round,
+plus one member standing for the rest of its class, which all share a
+signature; classes with no such member cannot split. When a class splits,
+every piece but the largest counts as moved (Hopcroft's rule). A search
+node starts from its parent's stable partition, and only the neighbors of
+the individualized vertex are signed in its first round.
+
+The search individualizes each vertex of the first non-singleton class in
+increasing label order, and the canonical labeling is the leaf with the
+least tuple of adjacency bit rows. A leaf equal to the first or best leaf
+gives an automorphism; the search backs up to where the two paths part, and
+skips every candidate in the orbit of one already tried under the group
+generated by the automorphisms found that fix the node's prefix. This is
+the design of McKay & Piperno, "Practical graph isomorphism II" (2014), and
+of bliss (Junttila & Kaski, 2007), without node invariants, so the least
+leaf, and with it the certificate, is that of the full search tree.
 """
 from __future__ import annotations
 
 from .graph import ACYCLIC, Graph, relabeled
 from . import graph6
 
-_MAX_AUTOS = 64
+
+def _split(adj, cell_of, order, size, touched) -> None:
+    """Refine an ordered partition in place until it is stable.
+
+    `cell_of[v]` is the name (first position) of v's class, `order` lists
+    the vertices by position and `size[s]` is the size of the class named
+    s. `touched` maps the name of each class that may split to the members
+    whose signatures may differ from the rest; all other members of that
+    class share one signature, so one of them stands for all.
+    """
+    while touched:
+        splits = []
+        for s, hit in touched.items():
+            k = size[s]
+            groups: dict = {}
+            rest = None
+            if len(hit) < k:
+                for u in order[s : s + k]:
+                    if u not in hit:
+                        break
+                rest = groups[tuple(sorted([cell_of[w] for w in adj[u]]))] = []
+            for v in hit:
+                key = tuple(sorted([cell_of[w] for w in adj[v]]))
+                piece = groups.get(key)
+                if piece is None:
+                    groups[key] = [v]
+                else:
+                    piece.append(v)
+            if len(groups) > 1:
+                if rest is not None:
+                    rest += [u for u in order[s : s + k] if u not in hit]
+                splits.append((s, groups))
+        moved: list[int] = []
+        for s, groups in splits:
+            pieces = [groups[key] for key in sorted(groups)]
+            largest = max(pieces, key=len)
+            pos = s
+            for piece in pieces:
+                m = len(piece)
+                order[pos : pos + m] = piece
+                size[pos] = m
+                if pos != s:
+                    for v in piece:
+                        cell_of[v] = pos
+                if piece is not largest:
+                    moved += piece
+                pos += m
+        touched = _touched(adj, cell_of, size, moved)
+
+
+def _touched(adj, cell_of, size, moved):
+    """The non-singleton classes next to the moved vertices, each with its
+    members that are neighbors of a moved vertex."""
+    touched: dict[int, set[int]] = {}
+    for v in moved:
+        for w in adj[v]:
+            c = cell_of[w]
+            if size[c] > 1:
+                hit = touched.get(c)
+                if hit is None:
+                    touched[c] = {w}
+                else:
+                    hit.add(w)
+    return touched
+
+
+def _stable_partition(adj, colors):
+    """Ordered partition by color, refined until stable."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: colors[v])
+    cell_of, size = [0] * n, [0] * n
+    classes: dict[int, set[int]] = {}
+    s = 0
+    for pos, v in enumerate(order):
+        if colors[v] != colors[order[s]]:
+            s = pos
+        cell_of[v] = s
+        size[s] += 1
+        classes.setdefault(s, set()).add(v)
+    _split(adj, cell_of, order, size, {s: c for s, c in classes.items() if len(c) > 1})
+    return cell_of, order, size
 
 
 def refine(adj: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
     """Neighborhood-color refinement to a stable, label-independent coloring.
 
-    Class ids are renumbered by sorted (color, neighbor-multiset) signature
-    each round, so the ids depend only on the isomorphism type of the
-    colored graph.
+    Class ids are the ranks of the classes in the order that sorting by
+    (color, neighbor-color multiset) signature gives round after round, so
+    the ids depend only on the isomorphism type of the colored graph.
     """
-    n = len(adj)
-    colors = list(colors)
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _leaf_key(adj, colors):
-    """Adjacency rows in canonical position order; colors must be discrete."""
-    n = len(adj)
-    pos = colors  # discrete coloring: color == position
-    orig_at = [0] * n
-    for v in range(n):
-        orig_at[pos[v]] = v
-    rows = []
-    for i in range(n):
-        r = 0
-        for w in adj[orig_at[i]]:
-            r |= 1 << pos[w]
-        rows.append(r)
-    return tuple(rows), pos
-
-
-def _individualize(adj, colors, v):
-    split = [2 * c for c in colors]
-    split[v] -= 1
-    return refine(adj, split)
+    cell_of, _, _ = _stable_partition(adj, colors)
+    rank = {s: i for i, s in enumerate(sorted(set(cell_of)))}
+    return [rank[s] for s in cell_of]
 
 
 def _canonical_perm(g: Graph) -> list[int]:
@@ -58,60 +132,76 @@ def _canonical_perm(g: Graph) -> list[int]:
     if n == 0:
         return []
     adj = g.adjacency
-    base = refine(adj, [0] * n)
+    cell_of, order, size = _stable_partition(adj, [0] * n)
 
-    best: dict = {"key": None, "pos": None}
-    autos: list[tuple[list[int], list[int]]] = []  # (perm, inverse)
+    first = best = None  # (key, vertex at each position, position of each vertex, path)
+    autos: list[list[int]] = []
 
-    def record_auto(pos_a, pos_b):
-        if len(autos) >= _MAX_AUTOS:
-            return
-        inv_b = [0] * n
-        for v in range(n):
-            inv_b[pos_b[v]] = v
-        gamma = [inv_b[pos_a[v]] for v in range(n)]
-        if gamma == list(range(n)):
-            return
-        inv_g = [0] * n
-        for v in range(n):
-            inv_g[gamma[v]] = v
-        autos.append((gamma, inv_g))
+    def leaf(pos, at, path):
+        """Record a leaf; return the depth to back up to, or None."""
+        nonlocal first, best
+        bit = [1 << p for p in pos]
+        key = tuple([sum([bit[w] for w in adj[v]]) for v in at])
+        if first is None:
+            first = best = (key, at, pos, list(path))
+            return None
+        for other in (first, best):
+            if key == other[0]:
+                autos.append([other[1][pos[v]] for v in range(n)])
+                depth = 0
+                while path[depth] == other[3][depth]:
+                    depth += 1
+                return depth
+        if key < best[0]:
+            best = (key, at, pos, list(path))
+        return None
 
-    def rec(colors, prefix):
-        # target cell: members of the smallest color class with >1 vertex
-        cell_color = -1
-        count = [0] * (max(colors) + 1)
-        for c in colors:
-            count[c] += 1
-        for c, k in enumerate(count):
-            if k > 1:
-                cell_color = c
-                break
-        if cell_color < 0:
-            key, pos = _leaf_key(adj, colors)
-            if best["key"] is None or key < best["key"]:
-                best["key"] = key
-                best["pos"] = pos
-            elif key == best["key"]:
-                record_auto(pos, best["pos"])
-            return
-        cell = [v for v in range(n) if colors[v] == cell_color]
-        tried: list[int] = []
-        for v in cell:
-            skip = False
-            for gamma, inv_g in autos:
-                if inv_g[v] in tried and all(gamma[p] == p for p in prefix):
-                    skip = True
-                    break
-            if skip:
+    def search(cell_of, order, size, start, path):
+        while start < n and size[start] == 1:
+            start += 1
+        if start == n:
+            return leaf(cell_of, order, path)
+        depth = len(path)
+        k = size[start]
+        parent: dict[int, int] = {}  # union-find over the cell, by orbits
+        tried: set[int] = set()  # roots of orbits holding a tried vertex
+        seen = 0
+
+        def root(v):
+            while parent.get(v, v) != v:
+                v = parent[v]
+            return v
+
+        for v in sorted(order[start : start + k]):
+            for gamma in autos[seen:]:
+                if all(gamma[p] == p for p in path):
+                    for u in order[start : start + k]:
+                        a, b = root(u), root(gamma[u])
+                        if a != b:
+                            parent[b] = a
+                            if b in tried:
+                                tried.add(a)
+            seen = len(autos)
+            r = root(v)
+            if r in tried:
                 continue
-            tried.append(v)
-            prefix.append(v)
-            rec(_individualize(adj, colors, v), prefix)
-            prefix.pop()
+            tried.add(r)
+            c, o, s = cell_of[:], order[:], size[:]
+            i = o.index(v, start, start + k)
+            o[i], o[start] = o[start], v
+            s[start], s[start + 1] = 1, k - 1
+            for u in o[start + 1 : start + k]:
+                c[u] = start + 1
+            _split(adj, c, o, s, _touched(adj, c, s, [v]))
+            path.append(v)
+            back = search(c, o, s, start + 1, path)
+            path.pop()
+            if back is not None and back < depth:
+                return back
+        return None
 
-    rec(base, [])
-    return best["pos"]
+    search(cell_of, order, size, 0, [])
+    return best[2]
 
 
 def canonical_form(g: Graph) -> Graph:

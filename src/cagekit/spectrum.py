@@ -23,9 +23,17 @@ from .constructions import (
 from .errors import (
     BadSeed,
     BudgetExhausted,
-    CagekitError,
     HorizonTooSmall,
+    InvalidConnectingSet,
+    NoCompletion,
+    NotCubic,
+    NotTetravalent,
+    OrderTooSmall,
+    ParameterOutOfRange,
+    RadiusTooLarge,
     SpecViolation,
+    TreeNotInduced,
+    UnknownOperation,
 )
 from .families import circulant44, quartic_parity_graph
 from .graph import ACYCLIC, Graph, check_kg
@@ -69,6 +77,19 @@ DEFAULT_CONSTRUCTIONS = (
     "parity46",
 )
 
+# Failures that mean "this input yields no candidate". Any other error from a
+# construction is a bug and propagates.
+_NO_CANDIDATE = (
+    InvalidConnectingSet,
+    NoCompletion,
+    NotCubic,
+    NotTetravalent,
+    OrderTooSmall,
+    ParameterOutOfRange,
+    RadiusTooLarge,
+    TreeNotInduced,
+)
+
 
 @dataclass(frozen=True)
 class OrderStatus:
@@ -89,6 +110,11 @@ class SearchConfig:
     amalgam_tries: int = 15
     rng_seed: int | None = None
 
+    def __post_init__(self):
+        unknown = [name for name in self.constructions if name not in DEFAULT_CONSTRUCTIONS]
+        if unknown:
+            raise UnknownOperation(f"unknown construction(s): {', '.join(unknown)}")
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -100,6 +126,7 @@ class SpectrumReport:
     N_candidate: int | None
     run_found: bool
     provenance: tuple[Recipe, ...] = ()
+    truncated: bool = False  # the budget stopped the run
 
     def realized_orders(self) -> list[int]:
         return [s.n for s in self.statuses if s.state is OrderState.REALIZED]
@@ -232,7 +259,7 @@ class _Engine:
                     continue
                 try:
                     graph = circulant44(n)
-                except CagekitError:
+                except _NO_CANDIDATE:
                     continue
                 params = {"n": n, "S": [1, 3, n - 3, n - 1]}
                 self.commit(graph, "circulant", (), params)
@@ -288,19 +315,15 @@ class _Engine:
         return certs
 
     def _scan(self, iterator, op: str, parent_cert: str) -> bool:
-        realized = False
         try:
             for i, (params, out) in enumerate(iterator):
                 if i >= self.config.scan_cap:
                     break
                 if self.commit(out, op, (parent_cert,), params):
-                    realized = True
-                    break
-        except BudgetExhausted:
-            raise
-        except CagekitError:
-            return realized
-        return realized
+                    return True
+        except _NO_CANDIDATE:
+            pass
+        return False
 
     def _ops_for(self, n: int) -> list[str]:
         if self.k == 3:
@@ -391,9 +414,7 @@ class _Engine:
         for root in range(parent.order):
             try:
                 matching = moore_double_matching(parent, r, root, self.budget)
-            except BudgetExhausted:
-                raise
-            except CagekitError:
+            except _NO_CANDIDATE:
                 continue
             out = apply_moore_double(parent, r, root, matching)
             params = {"r": r, "root": root, "matching": matching}
@@ -413,6 +434,7 @@ class _Engine:
         return changed
 
     def run(self) -> SpectrumReport:
+        truncated = False
         try:
             self._seed_generators()
             self._amalgam_closure()
@@ -426,9 +448,10 @@ class _Engine:
                 if not changed:
                     break
         except BudgetExhausted:
+            truncated = True
             self._amalgam_closure()
         self._replay_gate()
-        return self._report()
+        return self._report(truncated)
 
     def _replay_gate(self) -> None:
         for n, recipe in sorted(self.witness.items()):
@@ -464,7 +487,7 @@ class _Engine:
             visit(self.witness[n].output_cert)
         return tuple(ordered)
 
-    def _report(self) -> SpectrumReport:
+    def _report(self, truncated: bool) -> SpectrumReport:
         statuses = []
         for n in range(self.k + 1, self.horizon + 1):
             st = self.state[n]
@@ -498,6 +521,7 @@ class _Engine:
             cand,
             cand is not None,
             report.provenance,
+            truncated,
         )
 
 
@@ -555,5 +579,6 @@ def render_report(report: SpectrumReport) -> str:
     gaps = ",".join(str(n) for n in unresolved) if unresolved else "none"
     cage = report.n_kg if report.n_kg is not None else "unknown"
     nbound = f"<={report.N_candidate}" if report.N_candidate is not None else "unknown"
-    lines.append(f"g={report.g} n(k,g)={cage} unresolved={gaps} N(k,g)={nbound}")
+    cut = " truncated" if report.truncated else ""
+    lines.append(f"g={report.g} n(k,g)={cage} unresolved={gaps} N(k,g)={nbound}{cut}")
     return "\n".join(lines) + "\n"

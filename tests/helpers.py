@@ -114,3 +114,17 @@ def shuffled(g: Graph, rng) -> Graph:
     perm = list(range(g.order))
     rng.shuffle(perm)
     return relabeled(g, perm)
+
+
+def hypercube(d: int) -> Graph:
+    """The d-cube Q_d: vertices are d-bit words, edges flip one bit."""
+    n = 1 << d
+    return Graph.from_edges(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d) if v < v ^ (1 << i)])
+
+
+def cartesian_product(a: Graph, b: Graph) -> Graph:
+    """a □ b: vertex (i, j) is i * b.order + j; one coordinate moves per edge."""
+    m = b.order
+    edges = [(u * m + j, v * m + j) for u, v in a.edges() for j in range(m)]
+    edges += [(i * m + u, i * m + v) for i in range(a.order) for u, v in b.edges()]
+    return Graph.from_edges(a.order * m, edges)

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from cagekit.canon import canonical_form, certificate, is_isomorphic
+import canon_oracle
+from cagekit.canon import canonical_form, certificate, is_isomorphic, refine
+from cagekit.enumeration import EnumSpec, enumerate_regular
+from cagekit.families import CirculantSpec, circulant
 from cagekit.graph import Graph, disjoint_union
 from cagekit.named import (
     complete_bipartite,
@@ -14,11 +18,13 @@ from cagekit.named import (
     cycle_graph,
     heawood,
     kneser_petersen,
+    mcgee,
     path_graph,
     petersen,
+    tutte_coxeter,
 )
 
-from helpers import brute_isomorphic, random_graph, shuffled
+from helpers import brute_isomorphic, cartesian_product, hypercube, random_graph, shuffled
 
 
 def _corpus():
@@ -73,5 +79,62 @@ def test_petersen_models_agree():
 
 
 def test_highly_symmetric_graphs_complete_quickly():
-    for g in [complete_bipartite(5, 5), heawood(), cycle_graph(40)]:
+    tc2 = disjoint_union(tutte_coxeter(), tutte_coxeter())
+    graphs = [
+        complete_bipartite(5, 5),
+        heawood(),
+        cycle_graph(40),
+        hypercube(7),
+        tc2,
+        disjoint_union(tc2, tc2),
+    ]
+    start = time.perf_counter()
+    for g in graphs:
         assert certificate(g) == certificate(shuffled(g, random.Random(1)))
+    # well under a second each on a 2-core VM; minutes without orbit pruning
+    assert time.perf_counter() - start < 20
+
+
+def _oracle_graphs():
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
+    graphs += enumerate_regular(EnumSpec(3, 12, 5))
+    graphs += enumerate_regular(EnumSpec(3, 14, 6))
+    graphs += _corpus()
+    graphs += [
+        hypercube(5),
+        hypercube(6),
+        disjoint_union(heawood(), heawood()),
+        disjoint_union(mcgee(), mcgee()),
+        tutte_coxeter(),
+        circulant(CirculantSpec(60, (1, 59))),
+    ]
+    return graphs
+
+
+def test_certificates_match_the_old_canonizer():
+    rng = random.Random(11)
+    for g in _oracle_graphs():
+        for h in (g, shuffled(g, rng)):
+            assert certificate(h) == canon_oracle.certificate(h)
+
+
+def test_pruning_keeps_the_least_leaf_under_hidden_symmetry():
+    """Each cubic graph on 10 vertices times C4: refinement cannot split the
+    C4 fibers, so the search finds automorphisms deep in the tree, and only
+    those fixing a node's prefix may prune its candidates."""
+    for g in enumerate_regular(EnumSpec(3, 10)):
+        product = cartesian_product(g, cycle_graph(4))
+        for seed in range(6):
+            h = shuffled(product, random.Random(seed))
+            assert certificate(h) == canon_oracle.certificate(h)
+
+
+def test_refine_matches_the_old_refinement():
+    for g in _oracle_graphs():
+        adj, n = g.adjacency, g.order
+        base = canon_oracle.refine(adj, [0] * n)
+        assert refine(adj, [0] * n) == base
+        for v in range(n):
+            colors = [2 * c for c in base]
+            colors[v] -= 1
+            assert refine(adj, colors) == canon_oracle.refine(adj, colors)

@@ -5,9 +5,16 @@ import pytest
 
 from cagekit.bounds import moore_bound, parity_admissible
 from cagekit.canon import certificate
-from cagekit.errors import BadSeed, HorizonTooSmall, SpecViolation
+from cagekit import spectrum
+from cagekit.errors import (
+    BadSeed,
+    HorizonTooSmall,
+    IndexOutOfRange,
+    SpecViolation,
+    UnknownOperation,
+)
 from cagekit.graph import check_kg
-from cagekit.named import complete_bipartite, complete_graph, cycle_graph, petersen
+from cagekit.named import complete_bipartite, complete_graph, cycle_graph, heawood, petersen
 from cagekit.recipes import verified_replay
 from cagekit.spectrum import (
     OrderState,
@@ -141,6 +148,30 @@ def test_restricted_construction_list():
     config = SearchConfig(constructions=("subdivide_two", "amalgamate"))
     report = spectrum_search(3, 5, [petersen()], 24, config)
     assert set(report.realized_orders()) >= {10, 12, 14, 16, 18}
+
+
+def test_unknown_construction_rejected():
+    with pytest.raises(UnknownOperation, match="subdivid_two"):
+        SearchConfig(constructions=("subdivid_two",))
+
+
+def test_construction_bug_propagates(monkeypatch):
+    def broken(parent, g, budget):
+        raise IndexOutOfRange("vertex 99 not in 0..9")
+        yield
+
+    monkeypatch.setattr(spectrum, "iter_subdivide_two", broken)
+    config = SearchConfig(constructions=("subdivide_two",))
+    with pytest.raises(IndexOutOfRange):
+        spectrum_search(3, 5, [petersen()], 20, config)
+
+
+def test_budget_stop_is_reported(report_3_6):
+    cut = spectrum_search(3, 6, [heawood()], 40, SearchConfig(budget=2000))
+    assert cut.truncated
+    assert render_report(cut).endswith(" truncated\n")
+    assert not report_3_6.truncated
+    assert render_report(report_3_6).endswith("N(k,g)=<=14\n")
 
 
 def test_seed_and_citation_files(tmp_path):
