@@ -8,28 +8,13 @@ import sys
 from . import graph6
 from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_excess
 from .canon import certificate
-from .constructions import (
-    amalgamate,
-    canonical_double_cover,
-    dedup_first,
-    find_perfect_matching,
-    iter_subdivide_merge,
-    iter_subdivide_three,
-    iter_subdivide_two,
-    moore_double_matching,
-    apply_moore_double,
-)
+from .constructions import dedup_first
 from .enumeration import EnumSpec, enumerate_regular
 from .errors import CagekitError
 from .families import CirculantSpec, GdgpSpec, circulant, gdgp, quartic_parity_graph
-from .graph import ACYCLIC, Graph, check_kg, remove_edges
+from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
-from .recipes import Recipe, write_recipes
-from .rewire import (
-    iter_delete_edges_add_vertices,
-    iter_delete_vertices,
-    iter_remove_biggs_tree,
-)
+from .recipes import OPERATIONS, Recipe, write_recipes
 from .spectrum import (
     DEFAULT_CONSTRUCTIONS,
     SearchConfig,
@@ -39,18 +24,7 @@ from .spectrum import (
     spectrum_search,
 )
 
-CONSTRUCT_NAMES = (
-    "amalgamate",
-    "subdivide_two",
-    "subdivide_three",
-    "subdivide_merge",
-    "moore_tree_double",
-    "delete_edges_add_vertices",
-    "delete_vertices",
-    "remove_biggs_tree",
-    "remove_perfect_matching",
-    "canonical_double_cover",
-)
+CONSTRUCT_NAMES = tuple(name for name, op in OPERATIONS.items() if op.arity >= 1)
 
 
 def _emit(graphs, path):
@@ -64,7 +38,10 @@ def _emit(graphs, path):
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
-    u, v = (int(x) for x in text.split(","))
+    try:
+        u, v = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"edge must be u,v, got {text!r}") from None
     return u, v
 
 
@@ -95,68 +72,21 @@ def cmd_girth(args) -> int:
 
 
 def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
-    name = args.name
-    out: list[tuple[Recipe, Graph]] = []
-
-    def batch(parent, iterator):
-        cert = certificate(parent)
-        for params, h in dedup_first(iterator):
-            out.append((Recipe(name, (cert,), params, certificate(h)), h))
-
-    if name == "amalgamate":
+    op = OPERATIONS[args.name]
+    if op.arity == 2:
         if len(graphs) < 2:
             raise CagekitError("amalgamation needs two input graphs")
         g1, g2 = graphs[0], graphs[1]
-        e1 = _parse_edge(args.e1) if args.e1 else g1.edges()[0]
-        e2 = _parse_edge(args.e2) if args.e2 else g2.edges()[0]
-        h = amalgamate(g1, g2, e1, e2, args.mode)
+        e1, e2 = args.e1 or g1.edges()[0], args.e2 or g2.edges()[0]
         params = {"e1": list(e1), "e2": list(e2), "mode": args.mode}
-        recipe = Recipe(
-            name, (certificate(g1), certificate(g2)), params, certificate(h)
-        )
-        return [(recipe, h)]
+        h = op.apply((g1, g2), params)
+        return [(Recipe(op.name, (certificate(g1), certificate(g2)), params, certificate(h)), h)]
+    kw = {name: getattr(args, name) for name in op.options}
+    out: list[tuple[Recipe, Graph]] = []
     for parent in graphs:
-        if name == "subdivide_two":
-            batch(parent, iter_subdivide_two(parent, args.target_girth, budget))
-        elif name == "subdivide_three":
-            batch(parent, iter_subdivide_three(parent, args.target_girth, budget))
-        elif name == "subdivide_merge":
-            batch(parent, iter_subdivide_merge(parent, args.target_girth, budget))
-        elif name == "moore_tree_double":
-            roots = range(parent.order) if args.root is None else [args.root]
-            pairs = []
-            for root in roots:
-                matching = moore_double_matching(parent, args.radius, root, budget)
-                h = apply_moore_double(parent, args.radius, root, matching)
-                params = {"r": args.radius, "root": root, "matching": matching}
-                pairs.append((params, h))
-            batch(parent, iter(pairs))
-        elif name == "delete_edges_add_vertices":
-            target = args.target_girth or parent.girth()
-            batch(
-                parent,
-                iter_delete_edges_add_vertices(
-                    parent, args.edges, args.vertices, target, budget
-                ),
-            )
-        elif name == "delete_vertices":
-            target = args.target_girth or parent.girth()
-            batch(
-                parent,
-                iter_delete_vertices(parent, args.vertices, target, budget),
-            )
-        elif name == "remove_biggs_tree":
-            batch(parent, iter_remove_biggs_tree(parent, budget))
-        elif name == "remove_perfect_matching":
-            matching = find_perfect_matching(parent, budget)
-            h = remove_edges(parent, matching)
-            params = {"matching": [list(e) for e in matching]}
-            recipe = Recipe(name, (certificate(parent),), params, certificate(h))
-            out.append((recipe, h))
-        elif name == "canonical_double_cover":
-            h = canonical_double_cover(parent)
-            recipe = Recipe(name, (certificate(parent),), {}, certificate(h))
-            out.append((recipe, h))
+        cert = certificate(parent)
+        for params, h in dedup_first(op.grow(parent, args.target_girth, budget, **kw)):
+            out.append((Recipe(op.name, (cert,), params, certificate(h)), h))
     return out
 
 
@@ -259,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int, default=2)
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--root", type=int, default=None)
-    p.add_argument("--e1", default=None, help="edge as u,v (amalgamate)")
-    p.add_argument("--e2", default=None, help="edge as u,v (amalgamate)")
+    p.add_argument("--e1", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
+    p.add_argument("--e2", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
     p.add_argument("--mode", choices=("cross", "parallel"), default="cross")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_construct)

@@ -332,6 +332,29 @@ def moore_double_matching(
     return perm
 
 
+def iter_moore_double(
+    g: Graph, r: int, budget: Budget | int | None = None, root: int | None = None
+) -> Iterator[Emitted]:
+    """Radius-r doublings of g, one per root in order (or at root alone).
+
+    A root whose Moore tree is not induced, or whose leaves admit no
+    bijection, is skipped; its error is raised only when no root yields.
+    """
+    budget = coerce_budget(budget)
+    failure: TreeNotInduced | NoCompletion | None = None
+    yielded = False
+    for v in range(g.order) if root is None else (root,):
+        try:
+            matching = moore_double_matching(g, r, v, budget)
+        except (TreeNotInduced, NoCompletion) as err:
+            failure = err
+            continue
+        yielded = True
+        yield {"r": r, "root": v, "matching": matching}, apply_moore_double(g, r, v, matching)
+    if failure is not None and not yielded:
+        raise failure
+
+
 def moore_tree_double(
     g: Graph, r: int, root: int, budget: Budget | int | None = None
 ) -> Graph:

@@ -111,3 +111,7 @@ class ReplayMismatch(CagekitError):
 
 class UnknownOperation(CagekitError):
     pass
+
+
+class MalformedInput(CagekitError):
+    pass

@@ -1,23 +1,37 @@
-"""Construction provenance records and deterministic replay."""
+"""Construction provenance records, the operation table, and replay."""
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from . import families
+from .bounds import moore_tree_size
 from .canon import certificate
 from .constructions import (
+    AMALGAMATE_MODES,
+    Emitted,
     amalgamate,
     apply_moore_double,
     apply_subdivide_merge,
     apply_subdivide_pair,
     apply_subdivide_triple,
     canonical_double_cover,
+    find_perfect_matching,
+    iter_moore_double,
+    iter_subdivide_merge,
+    iter_subdivide_three,
+    iter_subdivide_two,
 )
-from .errors import ReplayMismatch, UnknownOperation
+from .errors import MalformedInput, ReplayMismatch, UnknownOperation
 from .graph import Graph, add_edges, add_vertices, remove_edges, remove_vertices
+from .rewire import (
+    biggs_excision_size,
+    iter_delete_edges_add_vertices,
+    iter_delete_vertices,
+    iter_remove_biggs_tree,
+)
 
 
 @dataclass(frozen=True)
@@ -38,8 +52,11 @@ class Recipe:
         for token in line.strip().split(" "):
             key, _, value = token.partition("=")
             fields[key] = value
-        parents = tuple(c for c in fields["parents"].split(",") if c)
-        return cls(fields["op"], parents, json.loads(fields["params"]), fields["out"])
+        try:
+            parents = tuple(c for c in fields["parents"].split(",") if c)
+            return cls(fields["op"], parents, json.loads(fields["params"]), fields["out"])
+        except (KeyError, ValueError) as err:
+            raise MalformedInput(f"bad recipe line {line.strip()!r}: {err!r}") from None
 
 
 def _edge(value) -> tuple[int, int]:
@@ -47,99 +64,213 @@ def _edge(value) -> tuple[int, int]:
     return u, v
 
 
-def _apply_amalgamate(parents, params):
-    return amalgamate(
-        parents[0], parents[1], _edge(params["e1"]), _edge(params["e2"]),
-        params["mode"],
-    )
+def _edges(values) -> list[tuple[int, int]]:
+    return [_edge(e) for e in values]
 
 
-def _apply_subdivide_two(parents, params):
-    return apply_subdivide_pair(parents[0], _edge(params["e1"]), _edge(params["e2"]))
+ANY_DEGREE = range(2**31)
 
 
-def _apply_subdivide_three(parents, params):
-    return apply_subdivide_triple(
-        parents[0], _edge(params["e1"]), _edge(params["e2"]), _edge(params["e3"])
-    )
+@dataclass(frozen=True)
+class Operation:
+    """One construction, as the engine grows with it, the CLI runs it and a
+    recipe replays it.
+
+    - `apply(parents, params)` replays a recipe.
+    - `grow(parent, target_girth, budget, **kw)` yields (params, graph); a
+      binary operation's parent is the pair.
+    - `steps(n, k, g)` yields the engine's steps toward order n, each a
+      (parent order, source, grow keywords). The source is "reps",
+      "reps+pool" or "pool"; a parent order of None stands for every pool
+      order, and a source of None for no parent at all.
+    - `degrees` holds the k the engine tries the operation for.
+    - `options` names the grow keywords the CLI fills from its flags.
+
+    Entries reach library functions through module globals at call time, so
+    patched or traced names take effect.
+    """
+
+    name: str
+    arity: int
+    apply: Callable[[Sequence[Graph], dict], Graph]
+    grow: Callable[..., Iterator[Emitted]] | None = None
+    steps: Callable[[int, int, int], Iterable[tuple]] = lambda n, k, g: ()
+    degrees: Container[int] = ()
+    options: tuple[str, ...] = ()
 
 
-def _apply_subdivide_merge(parents, params):
-    return apply_subdivide_merge(parents[0], _edge(params["e1"]), _edge(params["e2"]))
+def _grow_amalgams(pair, target_girth, budget, tries):
+    """Amalgams of the pair over its first `tries` edges each, at the girth."""
+    g1, g2 = pair
+    for e1 in g1.edges()[:tries]:
+        for e2 in g2.edges()[:tries]:
+            for mode in AMALGAMATE_MODES:
+                out = amalgamate(g1, g2, e1, e2, mode)
+                if out.girth() == target_girth:
+                    yield {"e1": list(e1), "e2": list(e2), "mode": mode}, out
 
 
-def _apply_moore_tree_double(parents, params):
-    return apply_moore_double(
-        parents[0], params["r"], params["root"], list(params["matching"])
-    )
+def _adds(count: int):
+    """Steps of an operation that adds count vertices to any stored parent."""
+    return lambda n, k, g: [(n - count, "reps+pool", {})]
+
+
+def _moore_steps(n, k, g):
+    if n % 2:
+        return []
+    return [(n // 2 + moore_tree_size(k, r), "reps", {"radius": r}) for r in range(g // 4 + 1)]
+
+
+def _grow_double_cover(parent, target_girth, budget):
+    yield {}, canonical_double_cover(parent)
+
+
+def _grow_biggs(parent, target_girth, budget, order=None):
+    """Tree excisions of parent; given an order, only if they land on it."""
+    if order is None or parent.order - biggs_excision_size(parent.girth()) == order:
+        yield from iter_remove_biggs_tree(parent, budget)
+
+
+def _grow_matching(parent, target_girth, budget):
+    matching = find_perfect_matching(parent, budget)
+    yield {"matching": [list(e) for e in matching]}, remove_edges(parent, matching)
+
+
+def _grow_circulant(parent, target_girth, budget, n):
+    yield {"n": n, "S": [1, 3, n - 3, n - 1]}, families.circulant44(n)
+
+
+def _grow_parity(parent, target_girth, budget, n):
+    yield {"n": n}, families.quartic_parity_graph(n)
 
 
 def _apply_delete_edges_add_vertices(parents, params):
-    h = remove_edges(parents[0], [_edge(e) for e in params["removed"]])
-    h = add_vertices(h, params["added"])
-    return add_edges(h, [_edge(e) for e in params["edges"]])
+    h = add_vertices(remove_edges(parents[0], _edges(params["removed"])), params["added"])
+    return add_edges(h, _edges(params["edges"]))
 
 
-def _apply_delete_vertices(parents, params):
-    h, _ = remove_vertices(parents[0], params["removed"])
-    return add_edges(h, [_edge(e) for e in params["edges"]])
+def _apply_remove_vertices(key: str):
+    def apply(parents, params):
+        return add_edges(remove_vertices(parents[0], params[key])[0], _edges(params["edges"]))
+    return apply
 
 
-def _apply_remove_biggs_tree(parents, params):
-    h, _ = remove_vertices(parents[0], params["tree"])
-    return add_edges(h, [_edge(e) for e in params["edges"]])
+# Table order is the engine's order of trial for each k.
+OPERATIONS: dict[str, Operation] = {op.name: op for op in (
+    Operation(
+        "amalgamate", 2,
+        lambda ps, p: amalgamate(ps[0], ps[1], _edge(p["e1"]), _edge(p["e2"]), p["mode"]),
+        grow=_grow_amalgams,
+        degrees=ANY_DEGREE,
+    ),
+    Operation(
+        "subdivide_two", 1,
+        lambda ps, p: apply_subdivide_pair(ps[0], _edge(p["e1"]), _edge(p["e2"])),
+        grow=lambda parent, t, budget: iter_subdivide_two(parent, t, budget),
+        steps=_adds(2),
+        degrees=(3,),
+    ),
+    Operation(
+        "subdivide_three", 1,
+        lambda ps, p: apply_subdivide_triple(ps[0], *_edges([p["e1"], p["e2"], p["e3"]])),
+        grow=lambda parent, t, budget: iter_subdivide_three(parent, t, budget),
+        steps=_adds(4),
+        degrees=(3,),
+    ),
+    Operation(
+        "subdivide_merge", 1,
+        lambda ps, p: apply_subdivide_merge(ps[0], _edge(p["e1"]), _edge(p["e2"])),
+        grow=lambda parent, t, budget: iter_subdivide_merge(parent, t, budget),
+        steps=_adds(1),
+        degrees=(4,),
+    ),
+    Operation(
+        "canonical_double_cover", 1,
+        lambda ps, p: canonical_double_cover(ps[0]),
+        grow=_grow_double_cover,
+        steps=lambda n, k, g: [] if n % 2 else [(n // 2, "reps", {})],
+        degrees=ANY_DEGREE,
+    ),
+    Operation(
+        "moore_tree_double", 1,
+        lambda ps, p: apply_moore_double(ps[0], p["r"], p["root"], list(p["matching"])),
+        grow=lambda parent, t, budget, radius, root=None: iter_moore_double(
+            parent, radius, budget, root
+        ),
+        steps=_moore_steps,
+        degrees=ANY_DEGREE,
+        options=("radius", "root"),
+    ),
+    Operation(
+        "remove_biggs_tree", 1,
+        _apply_remove_vertices("tree"),
+        grow=_grow_biggs,
+        steps=lambda n, k, g: [(None, "pool", {"order": n})],
+        degrees=(3,),
+    ),
+    Operation(
+        "delete_vertices", 1,
+        _apply_remove_vertices("removed"),
+        grow=lambda parent, t, budget, vertices: iter_delete_vertices(
+            parent, vertices, t or parent.girth(), budget
+        ),
+        steps=lambda n, k, g: [(n + m, "reps+pool", {"vertices": m}) for m in (1, 2, 3, 4)],
+        degrees=ANY_DEGREE,
+        options=("vertices",),
+    ),
+    Operation(
+        "delete_edges_add_vertices", 1,
+        _apply_delete_edges_add_vertices,
+        grow=lambda parent, t, budget, edges, vertices: iter_delete_edges_add_vertices(
+            parent, edges, vertices, t or parent.girth(), budget
+        ),
+        steps=lambda n, k, g: [
+            (n - v, "reps+pool", {"edges": e, "vertices": v})
+            for e, v in [(3, 2) if k == 3 else (2, 1)]
+        ],
+        degrees=(3, 4),
+        options=("edges", "vertices"),
+    ),
+    Operation(
+        "remove_perfect_matching", 1,
+        lambda ps, p: remove_edges(ps[0], _edges(p["matching"])),
+        grow=_grow_matching,
+    ),
+    Operation(
+        "circulant", 0,
+        lambda ps, p: families.circulant(families.CirculantSpec(p["n"], tuple(p["S"]))),
+        grow=_grow_circulant,
+        steps=lambda n, k, g: [(None, None, {"n": n})] if g == 4 and n >= 8 else [],
+        degrees=(4,),
+    ),
+    Operation(
+        "quartic_parity_graph", 0,
+        lambda ps, p: families.quartic_parity_graph(p["n"]),
+        grow=_grow_parity,
+        steps=lambda n, k, g: [(None, None, {"n": n})] if g == 6 and n >= 26 and n % 2 == 0 else [],
+        degrees=(4,),
+    ),
+    Operation(
+        "gdgp", 0,
+        lambda ps, p: families.gdgp(families.GdgpSpec(p["m"], p["n"], tuple(p["K"]))),
+    ),
+)}
 
-
-def _apply_remove_perfect_matching(parents, params):
-    return remove_edges(parents[0], [_edge(e) for e in params["matching"]])
-
-
-def _apply_canonical_double_cover(parents, params):
-    return canonical_double_cover(parents[0])
-
-
-def _apply_circulant(parents, params):
-    return families.circulant(families.CirculantSpec(params["n"], tuple(params["S"])))
-
-
-def _apply_quartic_parity(parents, params):
-    return families.quartic_parity_graph(params["n"])
-
-
-def _apply_gdgp(parents, params):
-    return families.gdgp(
-        families.GdgpSpec(params["m"], params["n"], tuple(params["K"]))
-    )
-
-
-_APPLY: dict[str, Callable] = {
-    "amalgamate": _apply_amalgamate,
-    "subdivide_two": _apply_subdivide_two,
-    "subdivide_three": _apply_subdivide_three,
-    "subdivide_merge": _apply_subdivide_merge,
-    "moore_tree_double": _apply_moore_tree_double,
-    "delete_edges_add_vertices": _apply_delete_edges_add_vertices,
-    "delete_vertices": _apply_delete_vertices,
-    "remove_biggs_tree": _apply_remove_biggs_tree,
-    "remove_perfect_matching": _apply_remove_perfect_matching,
-    "canonical_double_cover": _apply_canonical_double_cover,
-    "circulant": _apply_circulant,
-    "quartic_parity_graph": _apply_quartic_parity,
-    "gdgp": _apply_gdgp,
-}
-
-OPERATION_NAMES = ("seed",) + tuple(sorted(_APPLY))
+OPERATION_NAMES = ("seed",) + tuple(sorted(OPERATIONS))
 
 
 def replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:
     """Re-run a recorded construction; resolve maps certificates to graphs."""
     if recipe.operation == "seed":
         return resolve(recipe.output_cert)
-    apply_fn = _APPLY.get(recipe.operation)
-    if apply_fn is None:
+    op = OPERATIONS.get(recipe.operation)
+    if op is None:
         raise UnknownOperation(f"no replay rule for {recipe.operation!r}")
-    parents = [resolve(cert) for cert in recipe.parents]
-    return apply_fn(parents, recipe.params)
+    if len(recipe.parents) != op.arity:
+        raise ReplayMismatch(
+            f"{op.name} takes {op.arity} parent(s), the recipe names {len(recipe.parents)}"
+        )
+    return op.apply([resolve(cert) for cert in recipe.parents], recipe.params)
 
 
 def verified_replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:

@@ -3,10 +3,10 @@ vertices without creating short cycles."""
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator
 
-from .constructions import Emitted, dedup_first
+from .constructions import Emitted, Params, dedup_first
 from .errors import (
     DegreeImbalance,
     DegreeMismatch,
@@ -83,6 +83,32 @@ def _girth_at_least(g: Graph, floor: int) -> bool:
     return gg is ACYCLIC or gg >= floor
 
 
+def _rewire(
+    partials: Iterable[tuple[Params, Graph]],
+    k: int,
+    target_girth: int,
+    accept: Callable[[Graph], bool],
+    budget: Budget | int | None,
+    failure: NoCompletion,
+) -> Iterator[Emitted]:
+    """Accepted completions of the first partial graph that has any.
+
+    Each partial comes with the params that rebuild it; a completion adds
+    its edge list as "edges". Raises failure when no partial has one.
+    """
+    budget = coerce_budget(budget)
+    for head, h in partials:
+        found = False
+        for completion in iter_completions(h, k, target_girth, budget):
+            out = add_edges(h, completion)
+            if accept(out):
+                found = True
+                yield {**head, "edges": [list(e) for e in completion]}, out
+        if found:
+            return
+    raise failure
+
+
 def iter_delete_edges_add_vertices(
     g: Graph,
     num_edges: int,
@@ -101,25 +127,17 @@ def iter_delete_edges_add_vertices(
             f"{num_edges} deleted edges and {num_vertices} added vertices of "
             f"degree {k} leave an odd number of open slots"
         )
-    budget = coerce_budget(budget)
-    for combo in combinations(g.edges(), num_edges):
-        h = add_vertices(remove_edges(g, combo), num_vertices)
-        found = False
-        for completion in iter_completions(h, k, target_girth, budget):
-            out = add_edges(h, completion)
-            if not _girth_at_least(out, target_girth):
-                continue
-            found = True
-            params = {
-                "removed": [list(e) for e in combo],
-                "added": num_vertices,
-                "edges": [list(e) for e in completion],
-            }
-            yield params, out
-        if found:
-            return
-    raise NoCompletion(
-        f"no {num_edges}-edge deletion admits a girth-{target_girth} completion"
+    partials = (
+        ({"removed": [list(e) for e in combo], "added": num_vertices},
+         add_vertices(remove_edges(g, combo), num_vertices))
+        for combo in combinations(g.edges(), num_edges)
+    )
+    yield from _rewire(
+        partials, k, target_girth, lambda out: _girth_at_least(out, target_girth),
+        budget,
+        NoCompletion(
+            f"no {num_edges}-edge deletion admits a girth-{target_girth} completion"
+        ),
     )
 
 
@@ -156,24 +174,16 @@ def iter_delete_vertices(
         raise NoCompletion(
             f"{k}-regular graphs of order {rest} fail the parity condition"
         )
-    budget = coerce_budget(budget)
-    for combo in combinations(range(g.order), num_vertices):
-        h, _ = remove_vertices(g, combo)
-        found = False
-        for completion in iter_completions(h, k, target_girth, budget):
-            out = add_edges(h, completion)
-            if not _girth_at_least(out, target_girth):
-                continue
-            found = True
-            params = {
-                "removed": list(combo),
-                "edges": [list(e) for e in completion],
-            }
-            yield params, out
-        if found:
-            return
-    raise NoCompletion(
-        f"no {num_vertices}-vertex deletion admits a girth-{target_girth} completion"
+    partials = (
+        ({"removed": list(combo)}, remove_vertices(g, combo)[0])
+        for combo in combinations(range(g.order), num_vertices)
+    )
+    yield from _rewire(
+        partials, k, target_girth, lambda out: _girth_at_least(out, target_girth),
+        budget,
+        NoCompletion(
+            f"no {num_vertices}-vertex deletion admits a girth-{target_girth} completion"
+        ),
     )
 
 
@@ -243,17 +253,17 @@ def iter_remove_biggs_tree(
     if gg is ACYCLIC or gg < 4:
         raise ParameterOutOfRange("tree excision needs girth at least 4")
     size = biggs_excision_size(gg)
-    budget = coerce_budget(budget)
-    for tree in _induced_trees(g, size):
-        h, _ = remove_vertices(g, tree)
-        for completion in iter_completions(h, 3, gg - 1, budget):
-            out = add_edges(h, completion)
-            if out.girth() != gg - 1:
-                continue
-            params = {"tree": list(tree), "edges": [list(e) for e in completion]}
-            yield params, out
-            return
-    raise NoCompletion(f"no induced {size}-vertex tree admits a rewiring")
+    partials = (
+        ({"tree": list(tree)}, remove_vertices(g, tree)[0])
+        for tree in _induced_trees(g, size)
+    )
+    yield from islice(
+        _rewire(
+            partials, 3, gg - 1, lambda out: out.girth() == gg - 1, budget,
+            NoCompletion(f"no induced {size}-vertex tree admits a rewiring"),
+        ),
+        1,
+    )
 
 
 def remove_biggs_tree(g: Graph, budget: Budget | int | None = None) -> Graph:

@@ -8,23 +8,14 @@ from enum import Enum
 from typing import Iterable
 
 from . import graph6
-from .bounds import excluded_by_excess, moore_bound, moore_tree_size, parity_admissible
+from .bounds import excluded_by_excess, moore_bound, parity_admissible
 from .canon import certificate
-from .constructions import (
-    AMALGAMATE_MODES,
-    amalgamate,
-    apply_moore_double,
-    canonical_double_cover,
-    iter_subdivide_merge,
-    iter_subdivide_three,
-    iter_subdivide_two,
-    moore_double_matching,
-)
 from .errors import (
     BadSeed,
     BudgetExhausted,
     HorizonTooSmall,
     InvalidConnectingSet,
+    MalformedInput,
     NoCompletion,
     NotCubic,
     NotTetravalent,
@@ -35,16 +26,9 @@ from .errors import (
     TreeNotInduced,
     UnknownOperation,
 )
-from .families import circulant44, quartic_parity_graph
 from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
-from .recipes import Recipe, verified_replay
-from .rewire import (
-    biggs_excision_size,
-    iter_delete_edges_add_vertices,
-    iter_delete_vertices,
-    iter_remove_biggs_tree,
-)
+from .recipes import OPERATIONS, Operation, Recipe, verified_replay
 
 
 class OrderState(Enum):
@@ -63,19 +47,8 @@ _EXCLUDED = (
     OrderState.EXCLUDED_CITED,
 )
 
-DEFAULT_CONSTRUCTIONS = (
-    "amalgamate",
-    "subdivide_two",
-    "subdivide_three",
-    "subdivide_merge",
-    "canonical_double_cover",
-    "moore_tree_double",
-    "remove_biggs_tree",
-    "delete_vertices",
-    "delete_edges_add_vertices",
-    "circulant44",
-    "parity46",
-)
+# Every operation the engine tries for some degree, in the table's order.
+DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
 
 # Failures that mean "this input yields no candidate". Any other error from a
 # construction is a bug and propagates.
@@ -139,12 +112,17 @@ def parse_citations(path: str | os.PathLike) -> dict[tuple[int, int, int], str]:
     """Read lines of the form 'k g n reason'; '#' starts a comment."""
     table: dict[tuple[int, int, int], str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k, g, n, reason = line.split(None, 3)
-            table[(int(k), int(g), int(n))] = reason
+            try:
+                k, g, n, reason = line.split(None, 3)
+                table[(int(k), int(g), int(n))] = reason
+            except ValueError:
+                raise MalformedInput(
+                    f"{os.fspath(path)}:{lineno}: expected 'k g n reason', got {line!r}"
+                ) from None
     return table
 
 
@@ -252,22 +230,17 @@ class _Engine:
         bucket.append(cert)
         return False
 
+    def _ops(self, arity: int) -> list[Operation]:
+        return [
+            op for op in OPERATIONS.values()
+            if op.arity == arity and self.k in op.degrees and self.enabled(op.name)
+        ]
+
     def _seed_generators(self) -> None:
-        if self.enabled("circulant44") and self.k == 4 and self.g == 4:
-            for n in range(max(8, self.k + 1), self.horizon + 1):
-                if self.state.get(n) is not OrderState.UNRESOLVED:
-                    continue
-                try:
-                    graph = circulant44(n)
-                except _NO_CANDIDATE:
-                    continue
-                params = {"n": n, "S": [1, 3, n - 3, n - 1]}
-                self.commit(graph, "circulant", (), params)
-        if self.enabled("parity46") and self.k == 4 and self.g == 6:
-            for n in range(26, self.horizon + 1, 2):
-                if self.state.get(n) is not OrderState.UNRESOLVED:
-                    continue
-                self.commit(quartic_parity_graph(n), "quartic_parity_graph", (), {"n": n})
+        for op in self._ops(0):
+            for n in range(self.k + 1, self.horizon + 1):
+                if self.state[n] is OrderState.UNRESOLVED:
+                    self._attempt(n, op)
 
     def _amalgam_closure(self) -> None:
         """Mark a+b Realized for Realized a, b; runs to a fixed point.
@@ -275,151 +248,58 @@ class _Engine:
         Kept outside the global budget so the additive-closure invariant
         survives budget exhaustion; each pair gets a bounded edge scan.
         """
-        if not self.enabled("amalgamate"):
-            return
-        tries = self.config.amalgam_tries
-        changed = True
-        while changed:
-            changed = False
-            orders = sorted(self.reps)
-            for a in orders:
-                for b in (o for o in orders if o >= a and o + a <= self.horizon):
-                    if self.state[a + b] is not OrderState.UNRESOLVED:
-                        continue
-                    if self._try_amalgam(a, b, tries):
-                        changed = True
+        for op in self._ops(2):
+            changed = True
+            while changed:
+                changed = False
+                orders = sorted(self.reps)
+                for a in orders:
+                    for b in (o for o in orders if o >= a and o + a <= self.horizon):
+                        if self.state[a + b] is not OrderState.UNRESOLVED:
+                            continue
+                        if self._try_amalgam(op, a, b):
+                            changed = True
 
-    def _try_amalgam(self, a: int, b: int, tries: int) -> bool:
-        for ca in self.reps[a][:1]:
-            for cb in self.reps[b][:1]:
-                g1, g2 = self.store[ca], self.store[cb]
-                for e1 in g1.edges()[:tries]:
-                    for e2 in g2.edges()[:tries]:
-                        for mode in AMALGAMATE_MODES:
-                            out = amalgamate(g1, g2, e1, e2, mode)
-                            if out.girth() != self.g:
-                                continue
-                            params = {
-                                "e1": list(e1),
-                                "e2": list(e2),
-                                "mode": mode,
-                            }
-                            if self.commit(out, "amalgamate", (ca, cb), params):
-                                return True
-        return False
+    def _try_amalgam(self, op: Operation, a: int, b: int) -> bool:
+        ca, cb = self.reps[a][0], self.reps[b][0]
+        pair = (self.store[ca], self.store[cb])
+        grown = op.grow(pair, self.g, None, tries=self.config.amalgam_tries)
+        return any(self.commit(out, op.name, (ca, cb), params) for params, out in grown)
 
-    def _parents(self, order: int, with_pool: bool = True) -> list[str]:
-        certs = list(self.reps.get(order, []))
-        if with_pool:
+    def _parents(self, order: int | None, source: str | None) -> list[str | None]:
+        if source is None:
+            return [None]
+        if order is None:
+            return [cert for _, certs in sorted(self.pool.items()) for cert in certs]
+        certs = list(self.reps.get(order, [])) if source != "pool" else []
+        if source != "reps":
             certs += self.pool.get(order, [])
         return certs
 
-    def _scan(self, iterator, op: str, parent_cert: str) -> bool:
+    def _scan(self, op: Operation, cert: str | None, kw: dict) -> bool:
+        parent, parents = (None, ()) if cert is None else (self.store[cert], (cert,))
         try:
-            for i, (params, out) in enumerate(iterator):
+            grown = op.grow(parent, self.g, self.budget, **kw)
+            for i, (params, out) in enumerate(grown):
                 if i >= self.config.scan_cap:
                     break
-                if self.commit(out, op, (parent_cert,), params):
+                if self.commit(out, op.name, parents, params):
                     return True
         except _NO_CANDIDATE:
             pass
         return False
 
-    def _ops_for(self, n: int) -> list[str]:
-        if self.k == 3:
-            ops = [
-                "subdivide_two",
-                "subdivide_three",
-                "canonical_double_cover",
-                "moore_tree_double",
-                "remove_biggs_tree",
-                "delete_vertices",
-                "delete_edges_add_vertices",
-            ]
-        elif self.k == 4:
-            ops = [
-                "subdivide_merge",
-                "canonical_double_cover",
-                "moore_tree_double",
-                "delete_vertices",
-                "delete_edges_add_vertices",
-            ]
-        else:
-            ops = ["canonical_double_cover", "moore_tree_double", "delete_vertices"]
-        ops = [name for name in ops if self.enabled(name)]
+    def _ops_for(self, n: int) -> list[Operation]:
+        ops = self._ops(1)
         if self.rng is not None:
             self.rng.shuffle(ops)
         return ops
 
-    def _attempt(self, n: int, op: str) -> bool:
-        k, g, budget = self.k, self.g, self.budget
-        if op == "subdivide_two":
-            for cert in self._parents(n - 2):
-                if self._scan(
-                    iter_subdivide_two(self.store[cert], g, budget), op, cert
-                ):
+    def _attempt(self, n: int, op: Operation) -> bool:
+        for order, source, kw in op.steps(n, self.k, self.g):
+            for cert in self._parents(order, source):
+                if self._scan(op, cert, kw):
                     return True
-        elif op == "subdivide_three":
-            for cert in self._parents(n - 4):
-                if self._scan(
-                    iter_subdivide_three(self.store[cert], g, budget), op, cert
-                ):
-                    return True
-        elif op == "subdivide_merge":
-            for cert in self._parents(n - 1):
-                if self._scan(
-                    iter_subdivide_merge(self.store[cert], g, budget), op, cert
-                ):
-                    return True
-        elif op == "canonical_double_cover":
-            if n % 2 == 0:
-                for cert in self._parents(n // 2, with_pool=False):
-                    out = canonical_double_cover(self.store[cert])
-                    if self.commit(out, op, (cert,), {}):
-                        return True
-        elif op == "moore_tree_double":
-            if n % 2 == 0:
-                for r in range(0, g // 4 + 1):
-                    parent_order = n // 2 + moore_tree_size(k, r)
-                    for cert in self._parents(parent_order, with_pool=False):
-                        if self._double_from(cert, r):
-                            return True
-        elif op == "remove_biggs_tree":
-            for order, certs in sorted(self.pool.items()):
-                for cert in certs:
-                    parent = self.store[cert]
-                    pg = parent.girth()
-                    if order - biggs_excision_size(pg) != n:
-                        continue
-                    if self._scan(iter_remove_biggs_tree(parent, budget), op, cert):
-                        return True
-        elif op == "delete_vertices":
-            for removed in (1, 2, 3, 4):
-                for cert in self._parents(n + removed):
-                    it = iter_delete_vertices(self.store[cert], removed, g, budget)
-                    if self._scan(it, op, cert):
-                        return True
-        elif op == "delete_edges_add_vertices":
-            num_edges, num_vertices = (3, 2) if k == 3 else (2, 1) if k == 4 else (k, 2)
-            for cert in self._parents(n - num_vertices):
-                it = iter_delete_edges_add_vertices(
-                    self.store[cert], num_edges, num_vertices, g, budget
-                )
-                if self._scan(it, op, cert):
-                    return True
-        return False
-
-    def _double_from(self, cert: str, r: int) -> bool:
-        parent = self.store[cert]
-        for root in range(parent.order):
-            try:
-                matching = moore_double_matching(parent, r, root, self.budget)
-            except _NO_CANDIDATE:
-                continue
-            out = apply_moore_double(parent, r, root, matching)
-            params = {"r": r, "root": root, "matching": matching}
-            if self.commit(out, "moore_tree_double", (cert,), params):
-                return True
         return False
 
     def _construct_pass(self) -> bool:
@@ -427,10 +307,8 @@ class _Engine:
         for n in range(self.k + 1, self.horizon + 1):
             if self.state[n] is not OrderState.UNRESOLVED:
                 continue
-            for op in self._ops_for(n):
-                if self._attempt(n, op):
-                    changed = True
-                    break
+            if any(self._attempt(n, op) for op in self._ops_for(n)):
+                changed = True
         return changed
 
     def run(self) -> SpectrumReport:

@@ -1,13 +1,32 @@
 """Command-line subcommands: exit codes, file formats, determinism."""
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from cagekit import graph6
 from cagekit.canon import certificate
-from cagekit.cli import main
-from cagekit.named import heawood, mcgee, petersen
+from cagekit.cli import CONSTRUCT_NAMES, main
+from cagekit.constructions import amalgamate
+from cagekit.named import complete_bipartite, complete_graph, heawood, mcgee, petersen
 from cagekit.recipes import read_recipes, verified_replay
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+# name -> (input graphs, extra flags) for the golden construct outputs
+CONSTRUCT_CASES = {
+    "amalgamate": ([petersen(), heawood()], ["--e1", "0,1", "--e2", "2,3"]),
+    "subdivide_two": ([petersen(), heawood()], []),
+    "subdivide_three": ([petersen()], []),
+    "subdivide_merge": ([complete_graph(5)], []),
+    "moore_tree_double": ([petersen()], ["--radius", "1"]),
+    "delete_edges_add_vertices": ([heawood()], []),
+    "delete_vertices": ([petersen()], ["--vertices", "2", "--target-girth", "4"]),
+    "remove_biggs_tree": ([heawood()], []),
+    "remove_perfect_matching": ([heawood()], []),
+    "canonical_double_cover": ([petersen(), complete_graph(4)], []),
+}
 
 
 def write_g6(path, graphs):
@@ -47,6 +66,27 @@ def test_construct_writes_graphs_and_recipes(tmp_path, capsys):
     assert certificate(verified_replay(recipes[0], resolver)) == certificate(produced[0])
 
 
+def test_construct_cases_cover_every_name():
+    assert sorted(CONSTRUCT_CASES) == sorted(CONSTRUCT_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCT_CASES))
+def test_construct_outputs_match_golden(name, tmp_path):
+    graphs, flags = CONSTRUCT_CASES[name]
+    src = write_g6(tmp_path / "in.g6", graphs)
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", name, "--in", src, "--out", out] + flags) == 0
+    for suffix in ("", ".recipes"):
+        with open(os.path.join(GOLDEN, f"construct_{name}.g6{suffix}"), encoding="ascii") as fh:
+            assert open(out + suffix, encoding="ascii").read() == fh.read()
+    resolve = {certificate(g): g for g in graphs}.__getitem__
+    produced = graph6.read_file(out)
+    recipes = read_recipes(out + ".recipes")
+    assert len(recipes) == len(produced) > 0
+    for recipe, graph in zip(recipes, produced):
+        assert certificate(verified_replay(recipe, resolve)) == certificate(graph)
+
+
 def test_construct_double_cover(tmp_path):
     src = write_g6(tmp_path / "in.g6", [mcgee()])
     out = str(tmp_path / "out.g6")
@@ -66,6 +106,24 @@ def test_construct_amalgamate(tmp_path):
     produced = graph6.read_file(out)
     assert [(g.order, g.girth()) for g in produced] == [(20, 5)]
     assert len(read_recipes(out + ".recipes")) == 1
+
+
+def test_construct_moore_double_skips_inadmissible_roots(tmp_path, capsys):
+    # root 0 lies on a 4-cycle, so its radius-1 Moore tree is not induced
+    g = amalgamate(complete_bipartite(3, 3), petersen(), (0, 3), (0, 1), "cross")
+    src = write_g6(tmp_path / "in.g6", [g])
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", "moore_tree_double", "--in", src, "--out", out,
+                 "--radius", "1"]) == 0
+    produced = graph6.read_file(out)
+    assert len(produced) == 3
+    resolve = {certificate(g): g}.__getitem__
+    for recipe in read_recipes(out + ".recipes"):
+        assert recipe.params["root"] != 0
+        verified_replay(recipe, resolve)
+    assert main(["construct", "moore_tree_double", "--in", src, "--out", out,
+                 "--radius", "1", "--root", "0"]) == 1
+    assert "TreeNotInduced" in capsys.readouterr().err
 
 
 def test_generators_stream_to_stdout(capsys):
@@ -137,6 +195,21 @@ def test_spectrum_with_citations(tmp_path):
     assert "9 ExcludedCited citation=ruled out" in out.read_text()
 
 
+def test_malformed_citation_line_exits_one(tmp_path, capsys):
+    seeds = tmp_path / "seeds" / "k3g8"
+    seeds.mkdir(parents=True)
+    cites = tmp_path / "cites.txt"
+    cites.write_text("# exclusions\n3 8 32\n")
+    code = main(
+        ["spectrum", "--k", "3", "--g", "8", "--horizon", "40",
+         "--seeds", str(tmp_path / "seeds"), "--citations", str(cites)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "MalformedInput" in err
+    assert f"{cites}:2:" in err
+
+
 def test_domain_errors_exit_one(capsys, tmp_path):
     assert main(["circulant", "--n", "6", "--set", "2,4"]) == 1
     assert "InvalidConnectingSet" in capsys.readouterr().err
@@ -160,6 +233,16 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["unknown-command"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("edge", ["0", "0,1,2", "a,b"])
+def test_malformed_edge_flag_exits_two(tmp_path, capsys, edge):
+    src = write_g6(tmp_path / "in.g6", [petersen(), petersen()])
+    with pytest.raises(SystemExit) as err:
+        main(["construct", "amalgamate", "--in", src, "--out",
+              str(tmp_path / "o.g6"), "--e1", edge])
+    assert err.value.code == 2
+    assert "edge must be u,v" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -11,7 +11,7 @@ from cagekit.constructions import (
     iter_subdivide_two,
     moore_double_matching,
 )
-from cagekit.errors import ReplayMismatch, UnknownOperation
+from cagekit.errors import MalformedInput, ReplayMismatch, UnknownOperation
 from cagekit.families import circulant44, gdgp, GdgpSpec, quartic_parity_graph
 from cagekit.named import complete_bipartite, complete_graph, heawood, petersen
 from cagekit.recipes import (
@@ -62,6 +62,26 @@ def test_unknown_operation():
     r = Recipe("shuffle", ("abc",), {}, "def")
     with pytest.raises(UnknownOperation):
         replay(r, lambda cert: petersen())
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["op=seed out=x", "op=seed parents= out=x", "op=seed parents= params={ out=x", ""],
+)
+def test_malformed_line_rejected(line):
+    with pytest.raises(MalformedInput):
+        Recipe.from_line(line)
+
+
+def test_replay_checks_parent_count():
+    p = petersen()
+    params = {"e1": [0, 1], "e2": [0, 1], "mode": "cross"}
+    r = Recipe("amalgamate", (certificate(p),), params, certificate(p))
+    with pytest.raises(ReplayMismatch, match="2 parent"):
+        replay(r, make_resolver(p))
+    r = Recipe("subdivide_two", (), {"e1": [0, 1], "e2": [5, 7]}, certificate(p))
+    with pytest.raises(ReplayMismatch):
+        replay(r, make_resolver(p))
 
 
 def test_replay_mismatch_detected():

@@ -1,15 +1,18 @@
 """Spectrum engine: order classification, closure, witnesses, determinism."""
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from cagekit.bounds import moore_bound, parity_admissible
 from cagekit.canon import certificate
-from cagekit import spectrum
+from cagekit import recipes
 from cagekit.errors import (
     BadSeed,
     HorizonTooSmall,
     IndexOutOfRange,
+    MalformedInput,
     SpecViolation,
     UnknownOperation,
 )
@@ -27,8 +30,25 @@ from cagekit.spectrum import (
 )
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
 def evens(lo: int, hi: int) -> list[int]:
     return list(range(lo, hi + 1, 2))
+
+
+def golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["report_3_3", "report_3_4", "report_3_5", "report_3_6", "report_4_4", "report_3_8"],
+)
+def test_fixture_renders_match_golden(fixture, request):
+    report = request.getfixturevalue(fixture)
+    assert render_report(report) == golden(f"{fixture}.txt")
 
 
 def test_cubic_girth_three_spectrum(report_3_3):
@@ -142,6 +162,7 @@ def test_rng_seed_changes_witnesses_not_truth(report_3_5):
         3, 5, [petersen()], 40, SearchConfig(rng_seed=7)
     )
     assert sorted(shuffled.realized_orders()) == sorted(report_3_5.realized_orders())
+    assert render_report(shuffled) == golden("report_3_5_rng7.txt")
 
 
 def test_restricted_construction_list():
@@ -153,6 +174,8 @@ def test_restricted_construction_list():
 def test_unknown_construction_rejected():
     with pytest.raises(UnknownOperation, match="subdivid_two"):
         SearchConfig(constructions=("subdivid_two",))
+    with pytest.raises(UnknownOperation, match="circulant44"):
+        SearchConfig(constructions=("circulant44",))
 
 
 def test_construction_bug_propagates(monkeypatch):
@@ -160,7 +183,7 @@ def test_construction_bug_propagates(monkeypatch):
         raise IndexOutOfRange("vertex 99 not in 0..9")
         yield
 
-    monkeypatch.setattr(spectrum, "iter_subdivide_two", broken)
+    monkeypatch.setattr(recipes, "iter_subdivide_two", broken)
     config = SearchConfig(constructions=("subdivide_two",))
     with pytest.raises(IndexOutOfRange):
         spectrum_search(3, 5, [petersen()], 20, config)
@@ -170,6 +193,7 @@ def test_budget_stop_is_reported(report_3_6):
     cut = spectrum_search(3, 6, [heawood()], 40, SearchConfig(budget=2000))
     assert cut.truncated
     assert render_report(cut).endswith(" truncated\n")
+    assert render_report(cut) == golden("report_3_6_budget2000.txt")
     assert not report_3_6.truncated
     assert render_report(report_3_6).endswith("N(k,g)=<=14\n")
 
@@ -190,6 +214,11 @@ def test_seed_and_citation_files(tmp_path):
         (3, 8, 32): "ruled out by census",
         (4, 4, 9): "none exists",
     }
+
+    for bad in ("3 8 32\n", "3 8 x no such order\n"):
+        table.write_text("# known exclusions\n" + bad)
+        with pytest.raises(MalformedInput, match=":2: expected 'k g n reason'"):
+            parse_citations(table)
 
 
 def test_infer_N_needs_full_window():
