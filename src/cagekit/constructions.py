@@ -26,10 +26,11 @@ from .graph import (
     Graph,
     add_edges,
     add_vertices,
+    bfs_distances,
+    bipartition,
     disjoint_union,
     remove_edges,
     remove_vertices,
-    bipartition,
 )
 from .limits import Budget, coerce_budget
 
@@ -200,37 +201,26 @@ def subdivide_merge(
 def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:
     """Breadth-first layers around root, validated as a Moore tree.
 
-    Layer i must have exactly k(k-1)^(i-1) vertices, each with a unique
-    parent; together these force the tree shape up to the leaf layer
-    (leaves may be adjacent to each other).
+    Layer i must have exactly k(k-1)^(i-1) vertices. That alone forces the
+    tree shape up to the leaf layer (leaves may be adjacent to each other):
+    the root has k edges down and every other vertex at most k-1, so a full
+    layer i-1 sends at most k(k-1)^(i-1) edges down, and each vertex of a
+    full layer i has exactly one parent.
     """
     if not 0 <= root < g.order:
         raise IndexOutOfRange(f"root {root} outside 0..{g.order - 1}")
     k = g.regularity()
     if k is None:
         raise DegreeMismatch("Moore tree layers need a regular graph")
+    dist = bfs_distances(g.adjacency, root, depth)
     layers = [[root]]
-    inside = {root: 0}
     expected = k
     for i in range(1, depth + 1):
-        nxt: set[int] = set()
-        for v in layers[-1]:
-            for w in g.neighbors(v):
-                if w not in inside:
-                    nxt.add(w)
-        if len(nxt) != expected:
+        layer = [v for v, d in enumerate(dist) if d == i]
+        if len(layer) != expected:
             raise TreeNotInduced(
-                f"layer {i} around {root} has {len(nxt)} vertices, wanted {expected}"
+                f"layer {i} around {root} has {len(layer)} vertices, wanted {expected}"
             )
-        for w in nxt:
-            parents = sum(1 for u in g.neighbors(w) if inside.get(u) == i - 1)
-            if parents != 1:
-                raise TreeNotInduced(
-                    f"vertex {w} has {parents} parents in layer {i - 1}"
-                )
-        layer = sorted(nxt)
-        for w in layer:
-            inside[w] = i
         layers.append(layer)
         expected *= k - 1
     return layers

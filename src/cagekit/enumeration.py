@@ -48,18 +48,22 @@ def enumerate_regular(spec: EnumSpec) -> list[Graph]:
     full = (1 << n) - 1
     found: dict[str, Graph] = {}
 
+    # Bitset BFS of its own: the oracle stays independent of graph's BFS.
+    def grow(mask: int) -> int:
+        # union of the neighbourhoods of the vertices in mask
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
+        return out
+
     def too_close(u: int, w: int) -> bool:
         # True when dist(u, w) <= girth - 2, so edge uw would close a short cycle
         frontier = 1 << u
         seen = frontier
         for _ in range(girth - 2):
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            nxt &= ~seen
+            nxt = grow(frontier) & ~seen
             if nxt >> w & 1:
                 return True
             if not nxt:
@@ -73,13 +77,7 @@ def enumerate_regular(spec: EnumSpec) -> list[Graph]:
         comp = 1
         frontier = 1
         while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~comp
+            frontier = grow(frontier) & ~comp
             comp |= frontier
         if comp == full:
             return False

@@ -45,20 +45,12 @@ def circulant(spec: CirculantSpec) -> Graph:
         raise InvalidConnectingSet("connecting set may not contain 0")
     if any((-s) % n not in S for s in S):
         raise InvalidConnectingSet("connecting set must be inverse-closed")
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for s in S:
-            w = (v + s) % n
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != n:
-        raise InvalidConnectingSet("connecting set does not generate Z_n")
     edges = {(min(i, j), max(i, j)) for i in range(n) for s in S
              for j in [(i + s) % n]}
-    return Graph.from_edges(n, sorted(edges))
+    g = Graph.from_edges(n, sorted(edges))
+    if not g.is_connected():
+        raise InvalidConnectingSet("connecting set does not generate Z_n")
+    return g
 
 
 def circulant44(n: int) -> Graph:

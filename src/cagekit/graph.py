@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, MultiEdge, NotAnEdge, SameEdge, ZeroOrder
 
@@ -35,6 +35,29 @@ def normalize_endpoints(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise SameEdge(f"loop at vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+def bfs_distances(adj: Sequence, src: int, radius: int | None = None) -> list[int]:
+    """Distances from src over adjacency rows (a Graph's tuples, or the sets
+    of a search in progress); -1 where unreachable or beyond `radius`.
+
+    The package's one distance BFS.
+    """
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    limit = len(adj) if radius is None else radius
+    frontier = [src]
+    d = 0
+    while frontier and d < limit:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 class Graph:
@@ -150,19 +173,7 @@ class Graph:
         cached = self._dist.get(src)
         if cached is not None:
             return cached
-        n = self.order
-        dist: list = [-1] * n
-        dist[src] = 0
-        q = deque([src])
-        adj = self._adj
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    q.append(w)
-        out = tuple(d if d >= 0 else UNREACHABLE for d in dist)
+        out = tuple(d if d >= 0 else UNREACHABLE for d in bfs_distances(self._adj, src))
         self._dist[src] = out
         return out
 
@@ -191,6 +202,7 @@ class Graph:
         return self._girth
 
     def _compute_girth(self):
+        # A cycle search (parent tracking, depth cut), not a distance query.
         n = self.order
         adj = self._adj
         best: int | None = None
@@ -313,22 +325,19 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 
 def bipartition(g: Graph) -> tuple[set, set] | None:
-    """2-coloring as (side0, side1), or None if an odd cycle exists."""
+    """2-coloring as (side0, side1), or None if an odd cycle exists.
+
+    Colors each component by distance parity from its smallest vertex.
+    """
     n = g.order
     color = [-1] * n
     for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.neighbors(u):
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    q.append(w)
-                elif color[w] == color[u]:
-                    return None
+        if color[s] < 0:
+            for v, d in enumerate(bfs_distances(g.adjacency, s)):
+                if d >= 0:
+                    color[v] = d & 1
+    if any(color[u] == color[v] for u, v in g.edges()):
+        return None
     return ({v for v in range(n) if color[v] == 0},
             {v for v in range(n) if color[v] == 1})
 

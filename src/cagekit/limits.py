@@ -1,7 +1,7 @@
 """Node budgets for search-based operations."""
 from __future__ import annotations
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, MalformedInput
 
 DEFAULT_BUDGET = 10**8
 
@@ -13,7 +13,7 @@ class Budget:
 
     def __init__(self, allowance: int = DEFAULT_BUDGET):
         if allowance <= 0:
-            raise ValueError("budget allowance must be positive")
+            raise MalformedInput(f"budget allowance must be positive, got {allowance}")
         self.remaining = allowance
 
     def spend(self, amount: int = 1) -> None:

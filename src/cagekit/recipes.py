@@ -54,7 +54,10 @@ class Recipe:
             fields[key] = value
         try:
             parents = tuple(c for c in fields["parents"].split(",") if c)
-            return cls(fields["op"], parents, json.loads(fields["params"]), fields["out"])
+            params = json.loads(fields["params"])
+            if not isinstance(params, dict):
+                raise ValueError("params must be a JSON object")
+            return cls(fields["op"], parents, params, fields["out"])
         except (KeyError, ValueError) as err:
             raise MalformedInput(f"bad recipe line {line.strip()!r}: {err!r}") from None
 
@@ -259,6 +262,17 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
 OPERATION_NAMES = ("seed",) + tuple(sorted(OPERATIONS))
 
 
+class _Params(dict):
+    """Recipe params as `apply` reads them; a missing key is a bad recipe."""
+
+    def __init__(self, operation: str, params: dict):
+        super().__init__(params)
+        self.operation = operation
+
+    def __missing__(self, key):
+        raise ReplayMismatch(f"{self.operation} recipe has no param {key!r}")
+
+
 def replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:
     """Re-run a recorded construction; resolve maps certificates to graphs."""
     if recipe.operation == "seed":
@@ -270,7 +284,8 @@ def replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:
         raise ReplayMismatch(
             f"{op.name} takes {op.arity} parent(s), the recipe names {len(recipe.parents)}"
         )
-    return op.apply([resolve(cert) for cert in recipe.parents], recipe.params)
+    parents = [resolve(cert) for cert in recipe.parents]
+    return op.apply(parents, _Params(op.name, recipe.params))
 
 
 def verified_replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:

@@ -2,7 +2,6 @@
 vertices without creating short cycles."""
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator
 
@@ -15,7 +14,9 @@ from .errors import (
     ParameterOutOfRange,
     TooManyVertices,
 )
-from .graph import ACYCLIC, Graph, add_edges, add_vertices, remove_edges, remove_vertices
+from .graph import (
+    ACYCLIC, Graph, add_edges, add_vertices, bfs_distances, remove_edges, remove_vertices,
+)
 from .limits import Budget, coerce_budget
 
 
@@ -39,17 +40,6 @@ def iter_completions(
     adj = [set(h.neighbors(v)) for v in range(n)]
     chosen: list[tuple[int, int]] = []
 
-    def distances(src: int) -> dict[int, int]:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
     def search() -> Iterator[list[tuple[int, int]]]:
         budget.spend()
         u = next((v for v in range(n) if deficit[v] > 0), None)
@@ -57,11 +47,9 @@ def iter_completions(
             yield list(chosen)
             return
         lo = chosen[-1][1] + 1 if chosen and chosen[-1][0] == u else u + 1
-        dist = distances(u)
+        near = bfs_distances(adj, u, target_girth - 2)
         for v in range(lo, n):
-            if deficit[v] == 0 or v in adj[u]:
-                continue
-            if dist.get(v, target_girth) < target_girth - 1:
+            if deficit[v] == 0 or v in adj[u] or near[v] >= 0:
                 continue
             adj[u].add(v)
             adj[v].add(u)

@@ -252,3 +252,22 @@ def test_byte_identical_reruns(tmp_path):
         assert main(["construct", "subdivide_three", "--in", src, "--out", out]) == 0
     assert open(a).read() == open(b).read()
     assert open(a + ".recipes").read() == open(b + ".recipes").read()
+
+
+@pytest.mark.parametrize("command", ["construct", "enumerate", "spectrum"])
+def test_nonpositive_budget_exits_one(tmp_path, capsys, command):
+    src = write_g6(tmp_path / "in.g6", [petersen()])
+    seeds = tmp_path / "seeds" / "k3g5"
+    seeds.mkdir(parents=True)
+    write_g6(seeds / "cage.g6", [petersen()])
+    argv = {
+        "construct": ["construct", "subdivide_two", "--in", src,
+                      "--out", str(tmp_path / "o.g6"), "--budget", "0"],
+        "enumerate": ["enumerate", "--k", "3", "--n", "10", "--cap", "0"],
+        "spectrum": ["spectrum", "--k", "3", "--g", "5", "--horizon", "20",
+                     "--seeds", str(tmp_path / "seeds"), "--budget", "-1"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedInput")
+    assert "budget allowance must be positive" in err

@@ -20,6 +20,7 @@ from cagekit.constructions import (
     subdivide_three,
     subdivide_two,
 )
+from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
     DegreeMismatch,
     NoPerfectMatching,
@@ -143,6 +144,37 @@ def test_moore_tree_layers_sizes():
     assert layers[0] == [0]
     with pytest.raises(TreeNotInduced):
         moore_tree_layers(complete_bipartite(3, 3), 0, 2)
+
+
+def _moore_layer_inputs():
+    graphs = [g for n in range(4, 13, 2) for g in enumerate_regular(EnumSpec(3, n))]
+    graphs += [g for n in range(5, 10) for g in enumerate_regular(EnumSpec(4, n))]
+    return graphs + [petersen(), heawood(), mcgee(), tutte_coxeter()]
+
+
+def test_moore_tree_layers_have_unique_parents():
+    # Every root at depths 1-4 of all cubic graphs of order <= 12, all
+    # quartic graphs of order <= 9 and four cages: whenever the layer sizes
+    # pass, the layers are the distance spheres and each vertex below the
+    # root has exactly one neighbour in the layer above.
+    returned = 0
+    for g in _moore_layer_inputs():
+        for root in range(g.order):
+            dist = g.distances_from(root)
+            for depth in range(1, 5):
+                try:
+                    layers = moore_tree_layers(g, root, depth)
+                except TreeNotInduced:
+                    continue
+                returned += 1
+                assert len(layers) == depth + 1
+                for i, layer in enumerate(layers):
+                    assert layer == [v for v in range(g.order) if dist[v] == i]
+                for i in range(1, depth + 1):
+                    above = set(layers[i - 1])
+                    for v in layers[i]:
+                        assert sum(w in above for w in g.neighbors(v)) == 1
+    assert returned > 1000
 
 
 def test_moore_tree_double_petersen():

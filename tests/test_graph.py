@@ -10,6 +10,7 @@ from cagekit.graph import (
     UNREACHABLE,
     Graph,
     add_edges,
+    bfs_distances,
     bipartition,
     check_kg,
     disjoint_union,
@@ -144,3 +145,62 @@ def test_bipartition():
     got = bipartition(complete_bipartite(3, 4))
     assert got is not None and {len(got[0]), len(got[1])} == {3, 4}
     assert bipartition(petersen()) is None
+
+
+def test_bipartition_of_disjoint_unions():
+    sides = bipartition(disjoint_union(cycle_graph(4), cycle_graph(6)))
+    assert sides is not None and [len(side) for side in sides] == [5, 5]
+    assert bipartition(disjoint_union(cycle_graph(4), cycle_graph(5))) is None
+    # isolated vertices land on side 0, as the root of their own component
+    g = disjoint_union(path_graph(3), Graph.from_edges(2, []))
+    assert bipartition(g) == ({0, 2, 3, 4}, {1})
+    assert bipartition(Graph.from_edges(3, [])) == ({0, 1, 2}, set())
+    assert bipartition(Graph.from_edges(0, [])) == (set(), set())
+
+
+def test_bipartition_matches_brute_force_random():
+    rng = random.Random(11)
+    for _ in range(100):
+        g = random_graph(rng.randint(1, 9), rng.choice([0.15, 0.3]), rng)
+        two_colorable = any(
+            all((mask >> u & 1) != (mask >> v & 1) for u, v in g.edges())
+            for mask in range(2**g.order)
+        )
+        sides = bipartition(g)
+        assert (sides is not None) == two_colorable
+        if sides is not None:
+            assert sides[0] | sides[1] == set(range(g.order))
+            assert all((u in sides[0]) != (v in sides[0]) for u, v in g.edges())
+
+
+def _all_pairs_distances(g):
+    """Floyd-Warshall, an oracle that shares nothing with the BFS; None = no path."""
+    n = g.order
+    far = n + 1
+    d = [[0 if i == j else 1 if g.has_edge(i, j) else far for j in range(n)] for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][m] + d[m][j] < d[i][j]:
+                    d[i][j] = d[i][m] + d[m][j]
+    return [[None if x == far else x for x in row] for row in d]
+
+
+@pytest.mark.parametrize("radius", [None, 0, 1, 2, 3])
+def test_bfs_distances_is_distances_from_cut_at_radius(radius):
+    rng = random.Random(5)
+    graphs = [disjoint_union(cycle_graph(5), path_graph(4)), Graph.from_edges(1, [])]
+    graphs += [random_graph(rng.randint(2, 12), 0.2, rng) for _ in range(40)]
+    for g in graphs:
+        rows = [set(row) for row in g.adjacency]
+        oracle = _all_pairs_distances(g)
+        for src in range(g.order):
+            assert [UNREACHABLE if d is None else d for d in oracle[src]] == list(
+                g.distances_from(src)
+            )
+            want = [
+                -1 if d is UNREACHABLE or (radius is not None and d > radius) else d
+                for d in g.distances_from(src)
+            ]
+            assert bfs_distances(g.adjacency, src, radius) == want
+            assert bfs_distances(rows, src, radius) == want

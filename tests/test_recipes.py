@@ -84,6 +84,26 @@ def test_replay_checks_parent_count():
         replay(r, make_resolver(p))
 
 
+def test_non_object_params_rejected():
+    with pytest.raises(MalformedInput, match="JSON object"):
+        Recipe.from_line("op=subdivide_two parents=abc params=[1] out=def")
+
+
+def test_replay_names_a_missing_param():
+    p = petersen()
+    r = Recipe("subdivide_two", (certificate(p),), {}, certificate(p))
+    with pytest.raises(ReplayMismatch, match="subdivide_two.*'e1'"):
+        replay(r, make_resolver(p))
+
+
+def test_replay_of_moore_double_without_root():
+    p = petersen()
+    params = {"r": 1, "matching": list(moore_double_matching(p, 1, 0))}
+    r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
+    with pytest.raises(ReplayMismatch, match="moore_tree_double.*'root'"):
+        replay(r, make_resolver(p))
+
+
 def test_replay_mismatch_detected():
     p = petersen()
     params, h = next(iter_subdivide_two(p, None, 10**6))
