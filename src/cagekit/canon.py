@@ -25,6 +25,9 @@ generated by the automorphisms found that fix the node's prefix. This is
 the design of McKay & Piperno, "Practical graph isomorphism II" (2014), and
 of bliss (Junttila & Kaski, 2007), without node invariants, so the least
 leaf, and with it the certificate, is that of the full search tree.
+The automorphisms found are kept on the graph; they generate its
+automorphism group, which the rewiring searches use to skip isomorphic
+deletions.
 """
 from __future__ import annotations
 
@@ -127,9 +130,11 @@ def refine(adj: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
 
 
 def _canonical_perm(g: Graph) -> list[int]:
-    """Permutation old->new giving the canonical labeling."""
+    """Permutation old->new giving the canonical labeling; stores the
+    automorphisms the search finds in `g._autos`."""
     n = g.order
     if n == 0:
+        g._autos = []
         return []
     adj = g.adjacency
     cell_of, order, size = _stable_partition(adj, [0] * n)
@@ -201,6 +206,7 @@ def _canonical_perm(g: Graph) -> list[int]:
         return None
 
     search(cell_of, order, size, 0, [])
+    g._autos = autos
     return best[2]
 
 
@@ -214,6 +220,18 @@ def certificate(g: Graph) -> str:
     if g._cert is None:
         g._cert = graph6.encode(canonical_form(g))
     return g._cert
+
+
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms (vertex v -> gamma[v]) that generate the automorphism
+    group of g; empty when the group is trivial.
+
+    They are the ones the canonical search found, so a graph whose
+    certificate is known has them already; otherwise the search runs once.
+    """
+    if g._autos is None:
+        _canonical_perm(g)
+    return g._autos
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

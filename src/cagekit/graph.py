@@ -37,13 +37,18 @@ def normalize_endpoints(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def bfs_distances(adj: Sequence, src: int, radius: int | None = None) -> list[int]:
+def bfs_distances(
+    adj: Sequence, src: int, radius: int | None = None, dist: list[int] | None = None
+) -> list[int]:
     """Distances from src over adjacency rows (a Graph's tuples, or the sets
     of a search in progress); -1 where unreachable or beyond `radius`.
 
-    The package's one distance BFS.
+    Given `dist`, fills that list in place and treats its non-negative
+    entries as visited, so one list can collect several components at the
+    cost of the vertices reached. The package's one distance BFS.
     """
-    dist = [-1] * len(adj)
+    if dist is None:
+        dist = [-1] * len(adj)
     dist[src] = 0
     limit = len(adj) if radius is None else radius
     frontier = [src]
@@ -67,7 +72,7 @@ class Graph:
     instance; methods are pure, so instances are safe to share.
     """
 
-    __slots__ = ("_adj", "_edges", "_girth", "_cert", "_dist")
+    __slots__ = ("_adj", "_edges", "_girth", "_cert", "_dist", "_autos")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = []
@@ -98,6 +103,7 @@ class Graph:
         self._girth: int | _Sentinel | None = None
         self._cert: str | None = None
         self._dist: dict[int, tuple] = {}
+        self._autos: list[list[int]] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -330,16 +336,14 @@ def bipartition(g: Graph) -> tuple[set, set] | None:
     Colors each component by distance parity from its smallest vertex.
     """
     n = g.order
-    color = [-1] * n
+    dist = [-1] * n
     for s in range(n):
-        if color[s] < 0:
-            for v, d in enumerate(bfs_distances(g.adjacency, s)):
-                if d >= 0:
-                    color[v] = d & 1
-    if any(color[u] == color[v] for u, v in g.edges()):
+        if dist[s] < 0:
+            bfs_distances(g.adjacency, s, dist=dist)
+    if any((dist[u] - dist[v]) % 2 == 0 for u, v in g.edges()):
         return None
-    return ({v for v in range(n) if color[v] == 0},
-            {v for v in range(n) if color[v] == 1})
+    return ({v for v in range(n) if dist[v] % 2 == 0},
+            {v for v in range(n) if dist[v] % 2 == 1})
 
 
 def check_kg(g: Graph, k: int, girth: int) -> str | None:

@@ -1,10 +1,19 @@
 """Rewiring searches: delete edges or vertices, then reconnect deficient
-vertices without creating short cycles."""
+vertices without creating short cycles.
+
+Each search tries deletions in a fixed order and stops at the first that
+admits a completion. Deletions in one orbit of the parent's automorphism
+group leave isomorphic partial graphs, and whether a partial admits an
+accepted completion is an isomorphism invariant, so only the first deletion
+met in each orbit is tried (Meringer, J. Graph Theory 30, 1999). The first
+admitting deletion is the first of its orbit, so the output is unchanged.
+"""
 from __future__ import annotations
 
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator
 
+from .canon import automorphism_generators
 from .constructions import Emitted, Params, dedup_first
 from .errors import (
     DegreeImbalance,
@@ -12,6 +21,7 @@ from .errors import (
     NoCompletion,
     NotCubic,
     ParameterOutOfRange,
+    SpecViolation,
     TooManyVertices,
 )
 from .graph import (
@@ -66,6 +76,53 @@ def iter_completions(
     yield from search()
 
 
+def _vertex_set(p, vertices) -> frozenset:
+    """The image of a vertex set under the vertex map p."""
+    return frozenset([p[v] for v in vertices])
+
+
+def _edge_set(p, edges) -> frozenset:
+    """The image of an edge set under the vertex map p."""
+    return frozenset([frozenset((p[u], p[v])) for u, v in edges])
+
+
+def _one_per_orbit(g: Graph, items: Iterable, image: Callable) -> Iterator:
+    """The items whose orbit under Aut(g) holds no earlier item.
+
+    `image(p, item)` is the set the item becomes under the vertex map p.
+    The generators are fetched only when a second item is asked for, so a
+    search whose first deletion succeeds never needs them. Each is checked
+    to map edges onto edges, so a wrong one fails loudly instead of pruning
+    real candidates.
+    """
+    gens = None
+    pending: set = set()  # orbit members not met yet
+    identity = range(g.order)
+    for item in items:
+        key = image(identity, item)
+        if key in pending:
+            pending.discard(key)  # each item is met once; free its slot
+            continue
+        yield item
+        if gens is None:
+            gens = automorphism_generators(g)
+            edges = _edge_set(identity, g.edges())
+            for p in gens:
+                if sorted(p) != list(identity) or _edge_set(p, edges) != edges:
+                    raise SpecViolation(f"generator {list(p)!r} is not an automorphism")
+        stack = [key]
+        orbit = {key}
+        while stack:
+            x = stack.pop()
+            for p in gens:
+                y = image(p, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        orbit.discard(key)
+        pending |= orbit
+
+
 def _girth_at_least(g: Graph, floor: int) -> bool:
     gg = g.girth()
     return gg is ACYCLIC or gg >= floor
@@ -118,7 +175,7 @@ def iter_delete_edges_add_vertices(
     partials = (
         ({"removed": [list(e) for e in combo], "added": num_vertices},
          add_vertices(remove_edges(g, combo), num_vertices))
-        for combo in combinations(g.edges(), num_edges)
+        for combo in _one_per_orbit(g, combinations(g.edges(), num_edges), _edge_set)
     )
     yield from _rewire(
         partials, k, target_girth, lambda out: _girth_at_least(out, target_girth),
@@ -164,7 +221,9 @@ def iter_delete_vertices(
         )
     partials = (
         ({"removed": list(combo)}, remove_vertices(g, combo)[0])
-        for combo in combinations(range(g.order), num_vertices)
+        for combo in _one_per_orbit(
+            g, combinations(range(g.order), num_vertices), _vertex_set
+        )
     )
     yield from _rewire(
         partials, k, target_girth, lambda out: _girth_at_least(out, target_girth),
@@ -243,7 +302,7 @@ def iter_remove_biggs_tree(
     size = biggs_excision_size(gg)
     partials = (
         ({"tree": list(tree)}, remove_vertices(g, tree)[0])
-        for tree in _induced_trees(g, size)
+        for tree in _one_per_orbit(g, _induced_trees(g, size), _vertex_set)
     )
     yield from islice(
         _rewire(

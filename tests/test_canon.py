@@ -8,7 +8,14 @@ from itertools import combinations
 import pytest
 
 import canon_oracle
-from cagekit.canon import canonical_form, certificate, is_isomorphic, refine
+from cagekit import canon
+from cagekit.canon import (
+    automorphism_generators,
+    canonical_form,
+    certificate,
+    is_isomorphic,
+    refine,
+)
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.families import CirculantSpec, circulant
 from cagekit.graph import Graph, disjoint_union
@@ -76,6 +83,41 @@ def test_same_degree_sequence_not_isomorphic():
 def test_petersen_models_agree():
     assert is_isomorphic(petersen(), kneser_petersen())
     assert certificate(petersen()) == certificate(kneser_petersen())
+
+
+@pytest.mark.parametrize(
+    "make", [petersen, heawood, tutte_coxeter, lambda: hypercube(5)],
+    ids=["petersen", "heawood", "tutte_coxeter", "q5"],
+)
+def test_automorphism_generators_act_transitively(make):
+    for g in (make(), shuffled(make(), random.Random(3))):
+        edges = set(g.edges())
+        gens = automorphism_generators(g)
+        for gamma in gens:
+            assert sorted(gamma) == list(range(g.order))
+            assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in edges} == edges
+        orbit, stack = {0}, [0]
+        while stack:
+            v = stack.pop()
+            for gamma in gens:
+                if gamma[v] not in orbit:
+                    orbit.add(gamma[v])
+                    stack.append(gamma[v])
+        assert orbit == set(range(g.order))
+
+
+def test_automorphism_generators_reuse_the_certificate_search(monkeypatch):
+    g = heawood()
+    asymmetric = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)])
+    certificate(g)
+    certificate(asymmetric)
+
+    def search_again(graph):
+        raise AssertionError("canonical search ran twice")
+
+    monkeypatch.setattr(canon, "_canonical_perm", search_again)
+    assert len(automorphism_generators(g)) > 0
+    assert automorphism_generators(asymmetric) == []
 
 
 def test_highly_symmetric_graphs_complete_quickly():

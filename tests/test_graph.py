@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -158,6 +159,14 @@ def test_bipartition_of_disjoint_unions():
     assert bipartition(Graph.from_edges(0, [])) == (set(), set())
 
 
+def test_bipartition_is_linear_in_components():
+    # one BFS list for all components: 20,000 isolated vertices, not 20,000 lists
+    start = time.perf_counter()
+    sides = bipartition(Graph.from_edges(20_000, []))
+    assert time.perf_counter() - start < 2
+    assert sides == (set(range(20_000)), set())
+
+
 def test_bipartition_matches_brute_force_random():
     rng = random.Random(11)
     for _ in range(100):
@@ -204,3 +213,12 @@ def test_bfs_distances_is_distances_from_cut_at_radius(radius):
             ]
             assert bfs_distances(g.adjacency, src, radius) == want
             assert bfs_distances(rows, src, radius) == want
+        if radius is None:
+            # one shared list collects every component, each from its least vertex
+            shared = [-1] * g.order
+            for src in range(g.order):
+                if shared[src] < 0:
+                    assert bfs_distances(g.adjacency, src, dist=shared) is shared
+            roots = [min(u for u in range(g.order) if oracle[u][v] is not None)
+                     for v in range(g.order)]
+            assert shared == [oracle[roots[v]][v] for v in range(g.order)]

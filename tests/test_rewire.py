@@ -2,17 +2,21 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 
+from cagekit import rewire
 from cagekit.canon import is_isomorphic
+from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
     DegreeImbalance,
     DegreeMismatch,
     NoCompletion,
     NotCubic,
     ParameterOutOfRange,
+    SpecViolation,
     TooManyVertices,
 )
 from cagekit.families import circulant44
@@ -34,8 +38,12 @@ from cagekit.rewire import (
     delete_edges_add_vertices,
     delete_vertices,
     iter_completions,
+    iter_delete_edges_add_vertices,
+    iter_delete_vertices,
+    iter_remove_biggs_tree,
     remove_biggs_tree,
 )
+from cagekit.spectrum import _NO_CANDIDATE
 
 
 def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
@@ -224,3 +232,63 @@ def _induced_connected(g: Graph, subset) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == members
+
+
+def _searches(g: Graph):
+    searches = [partial(iter_remove_biggs_tree, g)]
+    gg = g.girth()
+    for target in (gg, gg + 1):
+        searches += [
+            partial(iter_delete_vertices, g, 1, target),
+            partial(iter_delete_vertices, g, 2, target),
+            partial(iter_delete_edges_add_vertices, g, 1, 0, target),
+            partial(iter_delete_edges_add_vertices, g, 3, 2, target),
+        ]
+    return searches
+
+
+def _outcome(search) -> list | str:
+    try:
+        return [(params, sorted(h.edges())) for params, h in search()]
+    except (NoCompletion, ParameterOutOfRange) as err:
+        return type(err).__name__
+
+
+def test_orbit_pruning_changes_no_output(monkeypatch):
+    """Every emitted graph and every refutation matches a run that tries
+    each deletion, on all cubic graphs of order <= 10 plus Petersen and
+    Heawood; so does a run with no generators."""
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
+    graphs += [petersen(), heawood()]
+
+    def outcomes():
+        return [_outcome(search) for g in graphs for search in _searches(g)]
+
+    pruned = outcomes()
+    monkeypatch.setattr(rewire, "automorphism_generators", lambda g: [])
+    no_generators = outcomes()
+    monkeypatch.setattr(rewire, "_one_per_orbit", lambda g, items, image: items)
+    plain = outcomes()
+    assert pruned == plain
+    assert no_generators == plain
+    assert "NoCompletion" in plain and any(isinstance(out, list) for out in plain)
+
+
+def test_orbit_pruning_bounds_the_tutte_coxeter_refutation():
+    # 990 edge pairs in a few orbits: one pair per orbit fits in 1000 steps,
+    # every pair needs about 33,000
+    with pytest.raises(NoCompletion):
+        list(iter_delete_edges_add_vertices(tutte_coxeter(), 2, 2, 8, Budget(1000)))
+
+
+@pytest.mark.parametrize("bad", ["transposition", "not_a_permutation"])
+def test_wrong_generator_is_not_read_as_no_candidate(monkeypatch, bad):
+    def generators(g):
+        if bad == "transposition":
+            return [[1, 0] + list(range(2, g.order))]
+        return [[0] * g.order]
+
+    monkeypatch.setattr(rewire, "automorphism_generators", generators)
+    with pytest.raises(SpecViolation) as err:
+        list(iter_delete_edges_add_vertices(tutte_coxeter(), 2, 2, 8))
+    assert not isinstance(err.value, _NO_CANDIDATE)
