@@ -8,13 +8,12 @@ import sys
 from . import graph6
 from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_excess
 from .canon import certificate
-from .constructions import dedup_first
 from .enumeration import EnumSpec, enumerate_regular
-from .errors import CagekitError
+from .errors import CagekitError, NotAnEdge
 from .families import CirculantSpec, GdgpSpec, circulant, gdgp, quartic_parity_graph
 from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
-from .recipes import OPERATIONS, Recipe, write_recipes
+from .recipes import OPERATIONS, Recipe, construct, write_recipes
 from .spectrum import (
     DEFAULT_CONSTRUCTIONS,
     SearchConfig,
@@ -37,10 +36,17 @@ def _emit(graphs, path):
             fh.writelines(line + "\n" for line in lines)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}") from None
+
+
 def _parse_edge(text: str) -> tuple[int, int]:
     try:
-        u, v = (int(x) for x in text.split(","))
-    except ValueError:
+        u, v = _int_list(text)
+    except (argparse.ArgumentTypeError, ValueError):
         raise argparse.ArgumentTypeError(f"edge must be u,v, got {text!r}") from None
     return u, v
 
@@ -77,6 +83,8 @@ def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
         if len(graphs) < 2:
             raise CagekitError("amalgamation needs two input graphs")
         g1, g2 = graphs[0], graphs[1]
+        if not (g1.size and g2.size):
+            raise NotAnEdge("amalgamation needs an edge in each input graph")
         e1, e2 = args.e1 or g1.edges()[0], args.e2 or g2.edges()[0]
         params = {"e1": list(e1), "e2": list(e2), "mode": args.mode}
         h = op.apply((g1, g2), params)
@@ -85,7 +93,7 @@ def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
     out: list[tuple[Recipe, Graph]] = []
     for parent in graphs:
         cert = certificate(parent)
-        for params, h in dedup_first(op.grow(parent, args.target_girth, budget, **kw)):
+        for params, h in construct(op.name, parent, args.target_girth, budget, **kw):
             out.append((Recipe(op.name, (cert,), params, certificate(h)), h))
     return out
 
@@ -101,14 +109,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_circulant(args) -> int:
-    jumps = tuple(int(x) for x in args.set.split(","))
-    _emit([circulant(CirculantSpec(args.n, jumps))], args.out)
+    _emit([circulant(CirculantSpec(args.n, args.set))], args.out)
     return 0
 
 
 def cmd_gdgp(args) -> int:
-    offsets = tuple(int(x) for x in args.K.split(","))
-    _emit([gdgp(GdgpSpec(args.m, args.n, offsets))], args.out)
+    _emit([gdgp(GdgpSpec(args.m, args.n, args.K))], args.out)
     return 0
 
 
@@ -197,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circulant", help="circulant graph from a connecting set")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", required=True, help="comma-separated jumps")
+    p.add_argument("--set", type=_int_list, required=True, help="comma-separated jumps")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_circulant)
 
     p = sub.add_parser("gdgp", help="group divisible generalized Petersen graph")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--K", required=True, help="comma-separated chord offsets")
+    p.add_argument("--K", type=_int_list, required=True, help="comma-separated chord offsets")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gdgp)
 

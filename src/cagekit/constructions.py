@@ -3,10 +3,8 @@ matching removal, and the canonical double cover."""
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .bounds import moore_tree_size
-from .canon import certificate
 from .errors import (
     DegreeMismatch,
     IndexOutOfRange,
@@ -24,12 +22,10 @@ from .graph import (
     ACYCLIC,
     UNREACHABLE,
     Graph,
-    add_edges,
-    add_vertices,
     bfs_distances,
     bipartition,
     disjoint_union,
-    remove_edges,
+    edit,
     remove_vertices,
 )
 from .limits import Budget, coerce_budget
@@ -40,19 +36,6 @@ _FAR = 10**9
 
 Params = dict
 Emitted = tuple[Params, Graph]
-
-
-def dedup_first(pairs: Iterable[Emitted]) -> list[Emitted]:
-    """Keep the first representative of each isomorphism class."""
-    seen: set[str] = set()
-    out: list[Emitted] = []
-    for params, h in pairs:
-        cert = certificate(h)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        out.append((params, h))
-    return out
 
 
 def _required_girth(g: Graph, target_girth: int | None) -> int:
@@ -83,10 +66,8 @@ def amalgamate(g1: Graph, g2: Graph, e1, e2, mode: str = "cross") -> Graph:
     u1, v1 = g1.as_edge(e1)
     shift = g1.order
     u2, v2 = (w + shift for w in g2.as_edge(e2))
-    merged = remove_edges(disjoint_union(g1, g2), [(u1, v1), (u2, v2)])
-    if mode == "cross":
-        return add_edges(merged, [(u1, v2), (v1, u2)])
-    return add_edges(merged, [(u1, u2), (v1, v2)])
+    joins = [(u1, v2), (v1, u2)] if mode == "cross" else [(u1, u2), (v1, v2)]
+    return edit(disjoint_union(g1, g2), remove=[(u1, v1), (u2, v2)], add=joins)
 
 
 def apply_subdivide_pair(g: Graph, e1, e2) -> Graph:
@@ -94,8 +75,8 @@ def apply_subdivide_pair(g: Graph, e1, e2) -> Graph:
     a, b = g.as_edge(e1)
     c, d = g.as_edge(e2)
     x, y = g.order, g.order + 1
-    h = add_vertices(remove_edges(g, [(a, b), (c, d)]), 2)
-    return add_edges(h, [(a, x), (b, x), (c, y), (d, y), (x, y)])
+    joins = [(a, x), (b, x), (c, y), (d, y), (x, y)]
+    return edit(g, remove=[(a, b), (c, d)], new_vertices=2, add=joins)
 
 
 def apply_subdivide_triple(g: Graph, e1, e2, e3) -> Graph:
@@ -104,12 +85,8 @@ def apply_subdivide_triple(g: Graph, e1, e2, e3) -> Graph:
     c, d = g.as_edge(e2)
     e, f = g.as_edge(e3)
     x, y, z, hub = g.order, g.order + 1, g.order + 2, g.order + 3
-    h = add_vertices(remove_edges(g, [(a, b), (c, d), (e, f)]), 4)
-    return add_edges(
-        h,
-        [(a, x), (b, x), (c, y), (d, y), (e, z), (f, z),
-         (x, hub), (y, hub), (z, hub)],
-    )
+    joins = [(a, x), (b, x), (c, y), (d, y), (e, z), (f, z), (x, hub), (y, hub), (z, hub)]
+    return edit(g, remove=[(a, b), (c, d), (e, f)], new_vertices=4, add=joins)
 
 
 def apply_subdivide_merge(g: Graph, e1, e2) -> Graph:
@@ -117,8 +94,8 @@ def apply_subdivide_merge(g: Graph, e1, e2) -> Graph:
     a, b = g.as_edge(e1)
     c, d = g.as_edge(e2)
     w = g.order
-    h = add_vertices(remove_edges(g, [(a, b), (c, d)]), 1)
-    return add_edges(h, [(a, w), (b, w), (c, w), (d, w)])
+    joins = [(a, w), (b, w), (c, w), (d, w)]
+    return edit(g, remove=[(a, b), (c, d)], new_vertices=1, add=joins)
 
 
 def iter_subdivide_two(
@@ -133,13 +110,6 @@ def iter_subdivide_two(
         if not _edge_distance_at_least(g, e1, e2, floor):
             continue
         yield {"e1": list(e1), "e2": list(e2)}, apply_subdivide_pair(g, e1, e2)
-
-
-def subdivide_two(
-    g: Graph, target_girth: int | None = None, budget: Budget | int | None = None
-) -> list[Graph]:
-    """All order n+2 cubic graphs from distant-edge-pair subdivision."""
-    return [h for _, h in dedup_first(iter_subdivide_two(g, target_girth, budget))]
 
 
 def iter_subdivide_three(
@@ -159,13 +129,6 @@ def iter_subdivide_three(
             continue
         params = {"e1": list(e1), "e2": list(e2), "e3": list(e3)}
         yield params, apply_subdivide_triple(g, e1, e2, e3)
-
-
-def subdivide_three(
-    g: Graph, target_girth: int | None = None, budget: Budget | int | None = None
-) -> list[Graph]:
-    """All order n+4 cubic graphs from distant-edge-triple subdivision."""
-    return [h for _, h in dedup_first(iter_subdivide_three(g, target_girth, budget))]
 
 
 def iter_subdivide_merge(
@@ -189,13 +152,6 @@ def iter_subdivide_merge(
         if hg is ACYCLIC or hg < required:
             continue
         yield {"e1": list(e1), "e2": list(e2)}, h
-
-
-def subdivide_merge(
-    g: Graph, target_girth: int | None = None, budget: Budget | int | None = None
-) -> list[Graph]:
-    """All order n+1 4-regular graphs from subdividing and merging."""
-    return [h for _, h in dedup_first(iter_subdivide_merge(g, target_girth, budget))]
 
 
 def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:
@@ -226,6 +182,13 @@ def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:
     return layers
 
 
+def _join_copies(h: Graph, leaves: list[int], matching: list[int]) -> Graph:
+    """Two copies of h, leaf i of the first joined to leaf matching[i] of the second."""
+    shift = h.order
+    joins = [(leaves[i], leaves[matching[i]] + shift) for i in range(len(leaves))]
+    return edit(disjoint_union(h, h), add=joins)
+
+
 def find_double_matching(
     h: Graph, leaves: list[int], girth_floor: int, budget: Budget
 ) -> list[int] | None:
@@ -247,14 +210,9 @@ def find_double_matching(
     perm = [-1] * t
     used = [False] * t
 
-    def assemble() -> Graph:
-        shift = h.order
-        joins = [(leaves[i], leaves[perm[i]] + shift) for i in range(t)]
-        return add_edges(disjoint_union(h, h), joins)
-
     def search(i: int) -> list[int] | None:
         if i == t:
-            built = assemble()
+            built = _join_copies(h, leaves, perm)
             bg = built.girth()
             if bg is not ACYCLIC and bg >= girth_floor:
                 return list(perm)
@@ -294,10 +252,7 @@ def _doubling_parts(g: Graph, r: int, root: int):
 
 def apply_moore_double(g: Graph, r: int, root: int, matching: list[int]) -> Graph:
     """Assemble the doubled graph from a recorded leaf bijection."""
-    h, leaves = _doubling_parts(g, r, root)
-    shift = h.order
-    joins = [(leaves[i], leaves[matching[i]] + shift) for i in range(len(leaves))]
-    return add_edges(disjoint_union(h, h), joins)
+    return _join_copies(*_doubling_parts(g, r, root), matching)
 
 
 def moore_double_matching(
@@ -327,6 +282,11 @@ def iter_moore_double(
 ) -> Iterator[Emitted]:
     """Radius-r doublings of g, one per root in order (or at root alone).
 
+    Each deletes the radius-r Moore tree from two copies of g and joins the
+    leaves: k-regular of order 2(n - moore_tree_size(k, r)) with girth at
+    least girth(g). The leaf bijection is searched so that every pair of
+    join edges closes only long cycles.
+
     A root whose Moore tree is not induced, or whose leaves admit no
     bijection, is skipped; its error is raised only when no root yields.
     """
@@ -343,22 +303,6 @@ def iter_moore_double(
         yield {"r": r, "root": v, "matching": matching}, apply_moore_double(g, r, v, matching)
     if failure is not None and not yielded:
         raise failure
-
-
-def moore_tree_double(
-    g: Graph, r: int, root: int, budget: Budget | int | None = None
-) -> Graph:
-    """Delete the radius-r Moore tree from two copies and join the leaves.
-
-    Output is k-regular of order 2(n - moore_tree_size(k, r)) with girth
-    at least girth(g); the leaf bijection is searched so that every pair
-    of join edges closes only long cycles.
-    """
-    perm = moore_double_matching(g, r, root, budget)
-    out = apply_moore_double(g, r, root, perm)
-    k = g.regularity()
-    assert out.order == 2 * (g.order - moore_tree_size(k, r))
-    return out
 
 
 def find_perfect_matching(
@@ -426,13 +370,6 @@ def _backtracking_matching(g, budget) -> list[tuple[int, int]]:
     if not extend():
         raise NoPerfectMatching("backtracking found no perfect matching")
     return sorted(chosen)
-
-
-def remove_perfect_matching(
-    g: Graph, budget: Budget | int | None = None
-) -> Graph:
-    """Delete a perfect matching, dropping regularity from k to k-1."""
-    return remove_edges(g, find_perfect_matching(g, budget))
 
 
 def canonical_double_cover(g: Graph) -> Graph:

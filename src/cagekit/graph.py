@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, MultiEdge, NotAnEdge, SameEdge, ZeroOrder
+from .errors import IndexOutOfRange, MultiEdge, NotAnEdge, ParameterOutOfRange, SameEdge, ZeroOrder
 
 
 class _Sentinel:
@@ -109,18 +109,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            _check_vertex(u, n)
-            _check_vertex(v, n)
-            u, v = normalize_endpoints(u, v)
-            if (u, v) in seen:
-                raise MultiEdge(f"repeated edge {u}-{v}")
-            seen.add((u, v))
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(adj)
+        return _build([[] for _ in range(n)], edges)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -271,23 +260,39 @@ class Graph:
 # -- surgery (all return new graphs) ------------------------------------------
 
 
-def add_edges(g: Graph, new_edges: Iterable[tuple[int, int]]) -> Graph:
-    edges = list(g.edges())
-    fresh: set = set()
-    for e in new_edges:
-        u, v = normalize_endpoints(e[0], e[1])
-        _check_vertex(u, g.order)
-        _check_vertex(v, g.order)
-        if g.has_edge(u, v) or (u, v) in fresh:
-            raise MultiEdge(f"edge {u}-{v} already present")
-        fresh.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(g.order, edges)
+def _build(rows: list[list[int]], edges: Iterable[tuple[int, int]]) -> Graph:
+    """Graph on rows plus edges. Endpoints are range-checked to index rows;
+    loops, repeated edges and asymmetry are left to the constructor."""
+    n = len(rows)
+    for u, v in edges:
+        _check_vertex(u, n)
+        _check_vertex(v, n)
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(rows)
 
 
-def remove_edges(g: Graph, gone: Iterable[tuple[int, int]]) -> Graph:
-    gone_norm = {g.as_edge(e) for e in gone}
-    return Graph.from_edges(g.order, [e for e in g.edges() if e not in gone_norm])
+def edit(
+    g: Graph,
+    remove: Iterable[tuple[int, int]] = (),
+    add: Iterable[tuple[int, int]] = (),
+    new_vertices: int = 0,
+) -> Graph:
+    """g with the edges `remove` deleted, `new_vertices` isolated vertices
+    appended, then the edges `add` inserted, built once.
+
+    A removed edge may be added back. Raises NotAnEdge for a removal g does
+    not have, MultiEdge for an addition already present or repeated, SameEdge
+    for a loop and IndexOutOfRange for an endpoint outside the new order.
+    """
+    if new_vertices < 0:
+        raise ParameterOutOfRange(f"cannot add {new_vertices} vertices")
+    rows = [list(r) for r in g.adjacency]
+    for u, v in {g.as_edge(e) for e in remove}:
+        rows[u].remove(v)
+        rows[v].remove(u)
+    rows.extend([] for _ in range(new_vertices))
+    return _build(rows, add)
 
 
 def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
@@ -309,11 +314,6 @@ def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
         if u not in gone_set and v not in gone_set
     ]
     return Graph.from_edges(nxt, edges), relab
-
-
-def add_vertices(g: Graph, count: int) -> Graph:
-    """Append `count` isolated vertices."""
-    return Graph.from_edges(g.order + count, g.edges())
 
 
 def relabeled(g: Graph, perm: Iterable[int]) -> Graph:

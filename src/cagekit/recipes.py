@@ -25,7 +25,8 @@ from .constructions import (
     iter_subdivide_two,
 )
 from .errors import MalformedInput, ReplayMismatch, UnknownOperation
-from .graph import Graph, add_edges, add_vertices, remove_edges, remove_vertices
+from .graph import Graph, edit, remove_vertices
+from .limits import Budget
 from .rewire import (
     biggs_excision_size,
     iter_delete_edges_add_vertices,
@@ -136,7 +137,7 @@ def _grow_biggs(parent, target_girth, budget, order=None):
 
 def _grow_matching(parent, target_girth, budget):
     matching = find_perfect_matching(parent, budget)
-    yield {"matching": [list(e) for e in matching]}, remove_edges(parent, matching)
+    yield {"matching": [list(e) for e in matching]}, edit(parent, remove=matching)
 
 
 def _grow_circulant(parent, target_girth, budget, n):
@@ -148,13 +149,15 @@ def _grow_parity(parent, target_girth, budget, n):
 
 
 def _apply_delete_edges_add_vertices(parents, params):
-    h = add_vertices(remove_edges(parents[0], _edges(params["removed"])), params["added"])
-    return add_edges(h, _edges(params["edges"]))
+    return edit(
+        parents[0], remove=_edges(params["removed"]), new_vertices=params["added"],
+        add=_edges(params["edges"]),
+    )
 
 
 def _apply_remove_vertices(key: str):
     def apply(parents, params):
-        return add_edges(remove_vertices(parents[0], params[key])[0], _edges(params["edges"]))
+        return edit(remove_vertices(parents[0], params[key])[0], add=_edges(params["edges"]))
     return apply
 
 
@@ -236,7 +239,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     ),
     Operation(
         "remove_perfect_matching", 1,
-        lambda ps, p: remove_edges(ps[0], _edges(p["matching"])),
+        lambda ps, p: edit(ps[0], remove=_edges(p["matching"])),
         grow=_grow_matching,
     ),
     Operation(
@@ -259,7 +262,38 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     ),
 )}
 
-OPERATION_NAMES = ("seed",) + tuple(sorted(OPERATIONS))
+
+def dedup_first(pairs: Iterable[Emitted]) -> list[Emitted]:
+    """Keep the first representative of each isomorphism class."""
+    seen: set[str] = set()
+    out: list[Emitted] = []
+    for params, h in pairs:
+        cert = certificate(h)
+        if cert in seen:
+            continue
+        seen.add(cert)
+        out.append((params, h))
+    return out
+
+
+def construct(
+    name: str,
+    parent: Graph,
+    target_girth: int | None = None,
+    budget: Budget | int | None = None,
+    **kw,
+) -> list[Emitted]:
+    """The outputs of one unary operation on parent, one per isomorphism
+    class, as (params, graph) in the order the operation grows them.
+
+    `kw` are the operation's grow keywords (its `options`, such as
+    `vertices` for delete_vertices or `radius` and `root` for
+    moore_tree_double).
+    """
+    op = OPERATIONS.get(name)
+    if op is None or op.arity != 1 or op.grow is None:
+        raise UnknownOperation(f"{name!r} is not a unary operation")
+    return dedup_first(op.grow(parent, target_girth, budget, **kw))
 
 
 class _Params(dict):

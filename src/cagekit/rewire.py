@@ -14,7 +14,7 @@ from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator
 
 from .canon import automorphism_generators
-from .constructions import Emitted, Params, dedup_first
+from .constructions import Emitted, Params
 from .errors import (
     DegreeImbalance,
     DegreeMismatch,
@@ -24,9 +24,7 @@ from .errors import (
     SpecViolation,
     TooManyVertices,
 )
-from .graph import (
-    ACYCLIC, Graph, add_edges, add_vertices, bfs_distances, remove_edges, remove_vertices,
-)
+from .graph import ACYCLIC, Graph, bfs_distances, edit, remove_vertices
 from .limits import Budget, coerce_budget
 
 
@@ -42,12 +40,12 @@ def iter_completions(
     additions shrink distances).
     """
     n = h.order
-    deficit = [k - h.degree(v) for v in range(n)]
+    deficit = [k - len(row) for row in h.adjacency]
     if any(d < 0 for d in deficit):
         raise DegreeMismatch(f"a vertex already exceeds degree {k}")
     if sum(deficit) % 2 != 0:
         return
-    adj = [set(h.neighbors(v)) for v in range(n)]
+    adj = [set(row) for row in h.adjacency]
     chosen: list[tuple[int, int]] = []
 
     def search() -> Iterator[list[tuple[int, int]]]:
@@ -145,7 +143,7 @@ def _rewire(
     for head, h in partials:
         found = False
         for completion in iter_completions(h, k, target_girth, budget):
-            out = add_edges(h, completion)
+            out = edit(h, add=completion)
             if accept(out):
                 found = True
                 yield {**head, "edges": [list(e) for e in completion]}, out
@@ -174,7 +172,7 @@ def iter_delete_edges_add_vertices(
         )
     partials = (
         ({"removed": [list(e) for e in combo], "added": num_vertices},
-         add_vertices(remove_edges(g, combo), num_vertices))
+         edit(g, remove=combo, new_vertices=num_vertices))
         for combo in _one_per_orbit(g, combinations(g.edges(), num_edges), _edge_set)
     )
     yield from _rewire(
@@ -184,20 +182,6 @@ def iter_delete_edges_add_vertices(
             f"no {num_edges}-edge deletion admits a girth-{target_girth} completion"
         ),
     )
-
-
-def delete_edges_add_vertices(
-    g: Graph,
-    num_edges: int,
-    num_vertices: int,
-    target_girth: int,
-    budget: Budget | int | None = None,
-) -> list[Graph]:
-    """Delete edges, add fresh vertices, rewire to regularity; first batch."""
-    pairs = iter_delete_edges_add_vertices(
-        g, num_edges, num_vertices, target_girth, budget
-    )
-    return [h for _, h in dedup_first(pairs)]
 
 
 def iter_delete_vertices(
@@ -232,17 +216,6 @@ def iter_delete_vertices(
             f"no {num_vertices}-vertex deletion admits a girth-{target_girth} completion"
         ),
     )
-
-
-def delete_vertices(
-    g: Graph,
-    num_vertices: int,
-    target_girth: int,
-    budget: Budget | int | None = None,
-) -> list[Graph]:
-    """Delete vertices and rewire the survivors to regularity; first batch."""
-    pairs = iter_delete_vertices(g, num_vertices, target_girth, budget)
-    return [h for _, h in dedup_first(pairs)]
 
 
 def biggs_excision_size(girth: int) -> int:
@@ -311,10 +284,3 @@ def iter_remove_biggs_tree(
         ),
         1,
     )
-
-
-def remove_biggs_tree(g: Graph, budget: Budget | int | None = None) -> Graph:
-    """Excise a prescribed-size induced tree and rewire; girth drops by one."""
-    for _, out in iter_remove_biggs_tree(g, budget):
-        return out
-    raise NoCompletion("unreachable")

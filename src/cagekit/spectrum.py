@@ -96,10 +96,13 @@ class SpectrumReport:
     horizon: int
     statuses: tuple[OrderStatus, ...]
     n_kg: int | None
-    N_candidate: int | None
-    run_found: bool
     provenance: tuple[Recipe, ...] = ()
     truncated: bool = False  # the budget stopped the run
+
+    @property
+    def N_candidate(self) -> int | None:
+        """infer_N at the report's own n(k,g)."""
+        return infer_N(self, self.n_kg)
 
     def realized_orders(self) -> list[int]:
         return [s.n for s in self.statuses if s.state is OrderState.REALIZED]
@@ -289,12 +292,6 @@ class _Engine:
             pass
         return False
 
-    def _ops_for(self, n: int) -> list[Operation]:
-        ops = self._ops(1)
-        if self.rng is not None:
-            self.rng.shuffle(ops)
-        return ops
-
     def _attempt(self, n: int, op: Operation) -> bool:
         for order, source, kw in op.steps(n, self.k, self.g):
             for cert in self._parents(order, source):
@@ -307,7 +304,10 @@ class _Engine:
         for n in range(self.k + 1, self.horizon + 1):
             if self.state[n] is not OrderState.UNRESOLVED:
                 continue
-            if any(self._attempt(n, op) for op in self._ops_for(n)):
+            ops = self._ops(1)
+            if self.rng is not None:
+                self.rng.shuffle(ops)
+            if any(self._attempt(n, op) for op in ops):
                 changed = True
         return changed
 
@@ -379,26 +379,13 @@ class _Engine:
                 break
             if status.state is OrderState.UNRESOLVED:
                 break
-        report = SpectrumReport(
+        return SpectrumReport(
             self.k,
             self.g,
             self.horizon,
             tuple(statuses),
             n_kg,
-            None,
-            False,
             self._provenance(),
-        )
-        cand = infer_N(report, n_kg) if n_kg is not None else None
-        return SpectrumReport(
-            report.k,
-            report.g,
-            report.horizon,
-            report.statuses,
-            n_kg,
-            cand,
-            cand is not None,
-            report.provenance,
             truncated,
         )
 
@@ -418,7 +405,7 @@ def spectrum_search(
     return engine.run()
 
 
-def infer_N(report: SpectrumReport, n_kg: int) -> int | None:
+def infer_N(report: SpectrumReport, n_kg: int | None) -> int | None:
     """Smallest N whose following admissible n_kg-length window is all
     Realized; such an N certifies every admissible order from N upward."""
     realized = set(report.realized_orders())

@@ -10,15 +10,7 @@ import random
 from cagekit import graph6
 from cagekit.bounds import moore_bound, sauer_bound
 from cagekit.canon import certificate, is_isomorphic
-from cagekit.constructions import (
-    amalgamate,
-    canonical_double_cover,
-    moore_tree_double,
-    remove_perfect_matching,
-    subdivide_merge,
-    subdivide_three,
-    subdivide_two,
-)
+from cagekit.constructions import amalgamate, canonical_double_cover
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.families import GdgpSpec, circulant44, gdgp, quartic_parity_graph
 from cagekit.graph import ACYCLIC, UNREACHABLE, Graph, check_kg, remove_vertices
@@ -30,8 +22,7 @@ from cagekit.named import (
     petersen,
     tutte_coxeter,
 )
-from cagekit.recipes import verified_replay
-from cagekit.rewire import delete_edges_add_vertices, remove_biggs_tree
+from cagekit.recipes import construct, verified_replay
 from cagekit.spectrum import OrderState, infer_N
 from conftest import SEED34
 from helpers import all_labeled_graphs, brute_girth, labeled_regular_graphs, random_graph, shuffled
@@ -66,7 +57,7 @@ def test_criterion_03_girth_six_spectrum_and_twelve_vertex_split(report_3_6):
     hw = heawood()
     matched = False
     for g12 in enumerate_regular(EnumSpec(3, 12, 5)):
-        outs = subdivide_two(g12)
+        outs = [h for _, h in construct("subdivide_two", g12)]
         if len(outs) >= 6 and any(is_isomorphic(h, hw) for h in outs):
             matched = True
     assert matched
@@ -100,15 +91,19 @@ def test_criterion_06_gdgp_catalog():
 
 
 def test_criterion_07_biggs_excision_recovers_petersen():
-    h = remove_biggs_tree(heawood())
+    [(_, h)] = construct("remove_biggs_tree", heawood())
     assert (h.order, h.girth()) == (10, 5)
     assert is_isomorphic(h, petersen())
 
 
 def test_criterion_08_moore_tree_doubling():
-    h = moore_tree_double(petersen(), 1, 0)
+    [(_, h)] = construct("moore_tree_double", petersen(), radius=1, root=0)
     assert (h.order, h.girth()) == (12, 5)
-    classes = {certificate(moore_tree_double(petersen(), 1, root)) for root in range(10)}
+    classes = {
+        certificate(h)
+        for root in range(10)
+        for _, h in construct("moore_tree_double", petersen(), radius=1, root=root)
+    }
     assert len(classes) <= 2
 
 
@@ -173,13 +168,14 @@ def test_criterion_12_property_suite(
 
     # construction invariants: degree kept, order arithmetic, girth floors
     p = petersen()
-    for h in subdivide_two(p) + subdivide_three(p):
+    for _, h in construct("subdivide_two", p) + construct("subdivide_three", p):
         assert h.regularity() == 3 and h.girth() >= 5
-    for h in subdivide_merge(complete_graph(5)):
+    for _, h in construct("subdivide_merge", complete_graph(5)):
         assert h.regularity() == 4 and h.order == 6
     assert amalgamate(p, p, (0, 1), (0, 1)).order == 20
-    assert remove_perfect_matching(complete_bipartite(4, 4)).regularity() == 3
-    for h in delete_edges_add_vertices(heawood(), 3, 2, 6):
+    [(_, h)] = construct("remove_perfect_matching", complete_bipartite(4, 4))
+    assert h.regularity() == 3
+    for _, h in construct("delete_edges_add_vertices", heawood(), 6, edges=3, vertices=2):
         assert h.regularity() == 3 and h.order == 16 and h.girth() >= 6
 
     # graph6 round-trip over a 500-graph corpus

@@ -235,14 +235,32 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("edge", ["0", "0,1,2", "a,b"])
-def test_malformed_edge_flag_exits_two(tmp_path, capsys, edge):
-    src = write_g6(tmp_path / "in.g6", [petersen(), petersen()])
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["construct", "amalgamate", "--e1", edge], "edge must be u,v", id=edge)
+    for edge in ("0", "0,1,2", "a,b")
+] + [
+    pytest.param(["construct", "amalgamate", "--e2", "1,a"], "edge must be u,v", id="e2=1,a"),
+    pytest.param(["circulant", "--n", "10", "--set", "1,a"], "comma-separated", id="set=1,a"),
+    pytest.param(["circulant", "--n", "10", "--set", ""], "comma-separated", id="set="),
+    pytest.param(["gdgp", "--m", "2", "--n", "18", "--K", "5,"], "comma-separated", id="K=5,"),
+])
+def test_malformed_edge_flag_exits_two(tmp_path, capsys, argv, message):
+    """--e1/--e2, --set and --K share one comma-separated-integer type."""
+    if argv[0] == "construct":
+        src = write_g6(tmp_path / "in.g6", [petersen(), petersen()])
+        argv = argv + ["--in", src, "--out", str(tmp_path / "o.g6")]
     with pytest.raises(SystemExit) as err:
-        main(["construct", "amalgamate", "--in", src, "--out",
-              str(tmp_path / "o.g6"), "--e1", edge])
+        main(argv)
     assert err.value.code == 2
-    assert "edge must be u,v" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_amalgamate_of_edgeless_graphs_exits_one(tmp_path, capsys):
+    src = tmp_path / "in.g6"
+    src.write_text("A?\nA?\n")
+    out = str(tmp_path / "o.g6")
+    assert main(["construct", "amalgamate", "--in", str(src), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: NotAnEdge")
 
 
 def test_byte_identical_reruns(tmp_path):

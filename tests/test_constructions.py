@@ -13,12 +13,7 @@ from cagekit.constructions import (
     find_perfect_matching,
     iter_subdivide_two,
     moore_double_matching,
-    moore_tree_double,
     moore_tree_layers,
-    remove_perfect_matching,
-    subdivide_merge,
-    subdivide_three,
-    subdivide_two,
 )
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
@@ -49,6 +44,7 @@ from cagekit.named import (
     petersen,
     tutte_coxeter,
 )
+from cagekit.recipes import construct
 
 
 def assert_regular(g: Graph, k: int, order: int, girth_floor: int) -> None:
@@ -94,7 +90,7 @@ def test_amalgamate_rejects_bad_input():
 
 
 def test_subdivide_two_on_petersen():
-    outs = subdivide_two(petersen())
+    outs = [h for _, h in construct("subdivide_two", petersen())]
     # every admissible edge pair lands in the same isomorphism class
     assert len(outs) == 1
     assert_regular(outs[0], 3, 12, 5)
@@ -102,31 +98,30 @@ def test_subdivide_two_on_petersen():
 
 
 def test_subdivide_two_on_k33():
-    outs = subdivide_two(complete_bipartite(3, 3))
-    for h in outs:
+    for _, h in construct("subdivide_two", complete_bipartite(3, 3)):
         assert_regular(h, 3, 8, 4)
 
 
 def test_subdivide_two_rejects():
     with pytest.raises(NotCubic):
-        subdivide_two(complete_bipartite(4, 4))
+        construct("subdivide_two", complete_bipartite(4, 4))
     with pytest.raises(ParameterOutOfRange):
         list(iter_subdivide_two(petersen(), 6))  # above parent girth
 
 
 def test_subdivide_three_orders():
-    outs = subdivide_three(complete_graph(4))
+    outs = construct("subdivide_three", complete_graph(4))
     assert outs
-    for h in outs:
+    for _, h in outs:
         assert_regular(h, 3, 8, 3)
-    outs = subdivide_three(petersen())
+    outs = construct("subdivide_three", petersen())
     assert outs
-    for h in outs:
+    for _, h in outs:
         assert_regular(h, 3, 14, 5)
 
 
 def test_subdivide_merge_on_k5_gives_octahedron():
-    outs = subdivide_merge(complete_graph(5))
+    outs = [h for _, h in construct("subdivide_merge", complete_graph(5))]
     octahedron = circulant(CirculantSpec(6, (1, 2, 4, 5)))
     assert len(outs) == 1
     assert_regular(outs[0], 4, 6, 3)
@@ -135,7 +130,7 @@ def test_subdivide_merge_on_k5_gives_octahedron():
 
 def test_subdivide_merge_rejects_cubic():
     with pytest.raises(NotTetravalent):
-        subdivide_merge(petersen())
+        construct("subdivide_merge", petersen())
 
 
 def test_moore_tree_layers_sizes():
@@ -179,7 +174,7 @@ def test_moore_tree_layers_have_unique_parents():
 
 def test_moore_tree_double_petersen():
     for r, order in ((0, 18), (1, 12)):
-        h = moore_tree_double(petersen(), r, 0)
+        [(_, h)] = construct("moore_tree_double", petersen(), radius=r, root=0)
         assert_regular(h, 3, order, 5)
         assert h.girth() == 5
 
@@ -187,7 +182,7 @@ def test_moore_tree_double_petersen():
 def test_moore_tree_double_all_roots_two_classes():
     certs = set()
     for root in range(10):
-        h = moore_tree_double(petersen(), 1, root)
+        [(_, h)] = construct("moore_tree_double", petersen(), radius=1, root=root)
         certs.add(certificate(h))
     assert len(certs) <= 2
 
@@ -196,20 +191,22 @@ def test_moore_double_matching_replays():
     p = petersen()
     matching = moore_double_matching(p, 1, 0)
     h = apply_moore_double(p, 1, 0, matching)
-    assert certificate(h) == certificate(moore_tree_double(p, 1, 0))
+    [(params, grown)] = construct("moore_tree_double", p, radius=1, root=0)
+    assert params["matching"] == matching
+    assert certificate(h) == certificate(grown)
 
 
 def test_moore_tree_double_heawood():
-    h = moore_tree_double(heawood(), 1, 0)
+    [(_, h)] = construct("moore_tree_double", heawood(), radius=1, root=0)
     assert_regular(h, 3, 20, 6)
 
 
 def test_perfect_matching_removal():
-    c6 = remove_perfect_matching(complete_bipartite(3, 3))
+    [(_, c6)] = construct("remove_perfect_matching", complete_bipartite(3, 3))
     assert is_isomorphic(c6, cycle_graph(6))
-    h = remove_perfect_matching(complete_bipartite(4, 4))
+    [(_, h)] = construct("remove_perfect_matching", complete_bipartite(4, 4))
     assert_regular(h, 3, 8, 4)
-    h = remove_perfect_matching(complete_bipartite(5, 5))
+    [(_, h)] = construct("remove_perfect_matching", complete_bipartite(5, 5))
     assert_regular(h, 4, 10, 4)
 
 

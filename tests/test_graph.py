@@ -10,18 +10,18 @@ from cagekit.graph import (
     ACYCLIC,
     UNREACHABLE,
     Graph,
-    add_edges,
     bfs_distances,
     bipartition,
     check_kg,
     disjoint_union,
-    remove_edges,
+    edit,
     remove_vertices,
 )
 from cagekit.errors import (
     IndexOutOfRange,
     MultiEdge,
     NotAnEdge,
+    ParameterOutOfRange,
     SameEdge,
     ZeroOrder,
 )
@@ -123,14 +123,58 @@ def test_constructor_validation():
 
 def test_surgery():
     k4 = complete_graph(4)
-    assert remove_edges(k4, [(0, 1)]).size == 5
+    assert edit(k4, remove=[(0, 1)]).size == 5
     with pytest.raises(NotAnEdge):
-        remove_edges(remove_edges(k4, [(0, 1)]), [(0, 1)])
+        edit(edit(k4, remove=[(0, 1)]), remove=[(0, 1)])
     with pytest.raises(MultiEdge):
-        add_edges(cycle_graph(4), [(0, 1)])
+        edit(cycle_graph(4), add=[(0, 1)])
     g, relab = remove_vertices(petersen(), [0])
     assert g.order == 9 and relab[0] is None and relab[9] == 8
     assert sorted(g.degree(v) for v in range(9)) == [2, 2, 2, 3, 3, 3, 3, 3, 3]
+
+
+def test_edit_is_the_old_surgery_chain():
+    """Removals, then new vertices, then additions, built once: the graph the
+    chain from_edges(remove, append, add) gives."""
+    c5 = cycle_graph(5)
+    joins = [(0, 5), (1, 5), (2, 6), (3, 6), (5, 6)]
+    h = edit(c5, remove=[(1, 0), (2, 3)], new_vertices=2, add=joins)
+    kept = [e for e in c5.edges() if e not in ((0, 1), (2, 3))]
+    assert h == Graph.from_edges(7, kept + joins)
+    assert edit(c5) == c5 and edit(c5, new_vertices=1).order == 6
+
+
+def test_edit_adds_a_removed_edge_back():
+    c5 = cycle_graph(5)
+    assert edit(c5, remove=[(0, 1)], add=[(1, 0)]) == c5
+    assert edit(c5, remove=[(0, 1), (1, 0)]).size == 4  # one edge, named twice
+
+
+def test_edit_errors():
+    c5 = cycle_graph(5)
+    with pytest.raises(NotAnEdge):
+        edit(c5, remove=[(0, 2)])
+    with pytest.raises(MultiEdge):
+        edit(c5, add=[(0, 1)])  # present
+    with pytest.raises(MultiEdge):
+        edit(c5, add=[(0, 2), (2, 0)])  # repeated
+    with pytest.raises(SameEdge):
+        edit(c5, add=[(3, 3)])
+    with pytest.raises(IndexOutOfRange):
+        edit(c5, remove=[(0, 5)])  # removals are checked against c5
+    with pytest.raises(ParameterOutOfRange):
+        edit(c5, new_vertices=-1)
+
+
+def test_edit_range_covers_the_new_vertices():
+    c5 = cycle_graph(5)
+    assert edit(c5, new_vertices=2, add=[(0, 6)]).has_edge(6, 0)
+    with pytest.raises(IndexOutOfRange):
+        edit(c5, new_vertices=2, add=[(0, 7)])
+    with pytest.raises(IndexOutOfRange):
+        edit(c5, add=[(0, 5)])
+    with pytest.raises(IndexOutOfRange):
+        edit(c5, add=[(-1, 0)])
 
 
 def test_regularity_and_check_kg():

@@ -14,9 +14,11 @@ from cagekit.constructions import (
 from cagekit.errors import MalformedInput, ReplayMismatch, UnknownOperation
 from cagekit.families import circulant44, gdgp, GdgpSpec, quartic_parity_graph
 from cagekit.named import complete_bipartite, complete_graph, heawood, petersen
+from cagekit.graph import edit
 from cagekit.recipes import (
-    OPERATION_NAMES,
+    OPERATIONS,
     Recipe,
+    construct,
     read_recipes,
     replay,
     verified_replay,
@@ -62,6 +64,12 @@ def test_unknown_operation():
     r = Recipe("shuffle", ("abc",), {}, "def")
     with pytest.raises(UnknownOperation):
         replay(r, lambda cert: petersen())
+
+
+@pytest.mark.parametrize("name", ["shuffle", "seed", "circulant", "gdgp", "amalgamate"])
+def test_construct_takes_only_unary_operations(name):
+    with pytest.raises(UnknownOperation):
+        construct(name, petersen())
 
 
 @pytest.mark.parametrize(
@@ -134,7 +142,6 @@ def all_operation_examples():
         amalgamate,
         apply_moore_double,
         canonical_double_cover,
-        remove_perfect_matching,
     )
 
     h = amalgamate(p, hw, (0, 1), (0, 1), "cross")
@@ -176,7 +183,7 @@ def all_operation_examples():
     )
 
     pm = find_perfect_matching(k44)
-    h = remove_perfect_matching(k44)
+    h = edit(k44, remove=pm)
     cases.append(
         (
             recorded(
@@ -221,7 +228,7 @@ def all_operation_examples():
 def test_every_operation_replays():
     cases = all_operation_examples()
     covered = {r.operation for r, _ in cases} | {"seed"}
-    assert covered == set(OPERATION_NAMES)
+    assert covered == set(OPERATIONS) | {"seed"}
     for recipe, resolver in cases:
         out = verified_replay(recipe, resolver)
         assert certificate(out) == recipe.output_cert

@@ -20,7 +20,7 @@ from cagekit.errors import (
     TooManyVertices,
 )
 from cagekit.families import circulant44
-from cagekit.graph import ACYCLIC, Graph, add_edges, remove_edges
+from cagekit.graph import ACYCLIC, Graph, edit
 from cagekit.limits import Budget
 from cagekit.named import (
     complete_bipartite,
@@ -35,14 +35,12 @@ from cagekit.named import (
 from cagekit.rewire import (
     _connected_subsets,
     biggs_excision_size,
-    delete_edges_add_vertices,
-    delete_vertices,
     iter_completions,
     iter_delete_edges_add_vertices,
     iter_delete_vertices,
     iter_remove_biggs_tree,
-    remove_biggs_tree,
 )
+from cagekit.recipes import construct
 from cagekit.spectrum import _NO_CANDIDATE
 
 
@@ -58,7 +56,7 @@ def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
     ]
     out = set()
     for combo in combinations(candidates, need // 2):
-        done = add_edges(h, combo) if _degrees_fit(h, k, combo) else None
+        done = edit(h, add=combo) if _degrees_fit(h, k, combo) else None
         if done is None:
             continue
         gg = done.girth()
@@ -115,14 +113,14 @@ def test_completions_match_brute_force():
             (0, 4), (1, 5), (2, 6), (3, 7)]
     )
     for _ in range(12):
-        torn = remove_edges(cube, rng.sample(cube.edges(), 2))
+        torn = edit(cube, remove=rng.sample(cube.edges(), 2))
         for target in (3, 4):
             assert completion_sets(torn, 3, target) == brute_completions(
                 torn, 3, target
             )
     p = petersen()
     for _ in range(6):
-        torn = remove_edges(p, rng.sample(p.edges(), 2))
+        torn = edit(p, remove=rng.sample(p.edges(), 2))
         for target in (4, 5):
             assert completion_sets(torn, 3, target) == brute_completions(
                 torn, 3, target
@@ -130,30 +128,30 @@ def test_completions_match_brute_force():
 
 
 def test_delete_edges_heawood_grows_girth_six():
-    outs = delete_edges_add_vertices(heawood(), 3, 2, 6)
+    outs = construct("delete_edges_add_vertices", heawood(), 6, edges=3, vertices=2)
     assert outs
-    for h in outs:
+    for _, h in outs:
         assert (h.order, h.regularity()) == (16, 3)
         assert h.girth() >= 6
 
 
 def test_delete_edges_mcgee_grows_girth_seven():
-    outs = delete_edges_add_vertices(mcgee(), 3, 2, 7)
+    outs = construct("delete_edges_add_vertices", mcgee(), 7, edges=3, vertices=2)
     assert outs
-    for h in outs:
+    for _, h in outs:
         assert (h.order, h.regularity()) == (26, 3)
         assert h.girth() >= 7
 
 
 def test_delete_edges_parity_guard():
     with pytest.raises(DegreeImbalance):
-        delete_edges_add_vertices(complete_graph(4), 2, 1, 3)
+        construct("delete_edges_add_vertices", complete_graph(4), 3, edges=2, vertices=1)
 
 
 def test_delete_vertices_quartic():
-    outs = delete_vertices(circulant44(11), 1, 3)
+    outs = construct("delete_vertices", circulant44(11), 3, vertices=1)
     assert outs
-    for h in outs:
+    for _, h in outs:
         assert (h.order, h.regularity()) == (10, 4)
         assert h.girth() >= 3
 
@@ -162,22 +160,22 @@ def test_delete_vertices_chain_step():
     from cagekit.constructions import canonical_double_cover
 
     g48 = canonical_double_cover(mcgee())
-    outs = delete_vertices(g48, 2, 8)
+    outs = construct("delete_vertices", g48, 8, vertices=2)
     assert outs
-    for h in outs:
+    for _, h in outs:
         assert (h.order, h.regularity()) == (46, 3)
         assert h.girth() == 8
 
 
 def test_delete_vertices_guards():
     with pytest.raises(TooManyVertices):
-        delete_vertices(petersen(), 5, 5)
+        construct("delete_vertices", petersen(), 5, vertices=5)
     with pytest.raises(TooManyVertices):
-        delete_vertices(petersen(), 0, 5)
+        construct("delete_vertices", petersen(), 5, vertices=0)
     with pytest.raises(NoCompletion):
-        delete_vertices(heawood(), 1, 6)  # odd surviving order, cubic
+        construct("delete_vertices", heawood(), 6, vertices=1)  # odd surviving order, cubic
     with pytest.raises(ParameterOutOfRange):
-        delete_vertices(petersen(), 2, 2)
+        construct("delete_vertices", petersen(), 2, vertices=2)
 
 
 def test_biggs_excision_sizes():
@@ -189,22 +187,22 @@ def test_biggs_excision_sizes():
 
 
 def test_biggs_excision_heawood_gives_petersen():
-    h = remove_biggs_tree(heawood())
+    [(_, h)] = construct("remove_biggs_tree", heawood())
     assert (h.order, h.regularity(), h.girth()) == (10, 3, 5)
     assert is_isomorphic(h, petersen())
 
 
 def test_biggs_excision_tutte_coxeter_gives_mcgee():
-    h = remove_biggs_tree(tutte_coxeter())
+    [(_, h)] = construct("remove_biggs_tree", tutte_coxeter())
     assert (h.order, h.regularity(), h.girth()) == (24, 3, 7)
     assert is_isomorphic(h, mcgee())
 
 
 def test_biggs_excision_guards():
     with pytest.raises(NotCubic):
-        remove_biggs_tree(complete_bipartite(4, 4))
+        construct("remove_biggs_tree", complete_bipartite(4, 4))
     with pytest.raises(ParameterOutOfRange):
-        remove_biggs_tree(complete_graph(4))
+        construct("remove_biggs_tree", complete_graph(4))
 
 
 def test_connected_subsets_match_brute_force():

@@ -141,9 +141,9 @@ def test_horizon_too_small():
 
 
 def test_wrong_citation_detected():
-    from cagekit.constructions import subdivide_two
+    from cagekit.recipes import construct
 
-    twelve = subdivide_two(petersen())[0]
+    [(_, twelve)] = construct("subdivide_two", petersen())
     citations = {(3, 5, 12): "claimed impossible"}
     with pytest.raises(SpecViolation):
         spectrum_search(
@@ -239,14 +239,14 @@ def test_frozen_order_34_seed_rederives():
     from cagekit import graph6
     from cagekit.constructions import canonical_double_cover
     from cagekit.named import mcgee
-    from cagekit.rewire import delete_vertices
+    from cagekit.recipes import construct
     from conftest import SEED34
 
     g = canonical_double_cover(mcgee())
     while g.order > 38:
-        g = delete_vertices(g, 2, 8)[0]
+        g = construct("delete_vertices", g, 8, vertices=2)[0][1]
         assert check_kg(g, 3, 8) is None
-    g = delete_vertices(g, 4, 8)[0]
+    g = construct("delete_vertices", g, 8, vertices=4)[0][1]
     frozen = graph6.read_file(SEED34)
     assert len(frozen) == 1
     assert check_kg(frozen[0], 3, 8) is None
