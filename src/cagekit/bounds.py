@@ -5,8 +5,6 @@ holds without explicit overflow checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParameterOutOfRange
 
 
@@ -66,27 +64,3 @@ def excluded_by_excess(k: int, g: int, n: int) -> bool:
         return True
     return False
 
-
-@dataclass(frozen=True)
-class BoundsRow:
-    k: int
-    g: int
-    moore: int
-    sauer: int
-
-
-@dataclass(frozen=True)
-class ExcessQuery:
-    k: int
-    g: int
-    n: int
-    excess: int
-    excluded: bool
-
-
-def bounds_row(k: int, g: int) -> BoundsRow:
-    return BoundsRow(k, g, moore_bound(k, g), sauer_bound(k, g))
-
-
-def excess_query(k: int, g: int, n: int) -> ExcessQuery:
-    return ExcessQuery(k, g, n, n - moore_bound(k, g), excluded_by_excess(k, g, n))

@@ -8,6 +8,7 @@ import sys
 from . import graph6
 from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_excess
 from .canon import certificate
+from .constructions import amalgamate
 from .enumeration import EnumSpec, enumerate_regular
 from .errors import CagekitError, NotAnEdge
 from .families import CirculantSpec, GdgpSpec, circulant, gdgp, quartic_parity_graph
@@ -87,7 +88,7 @@ def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
             raise NotAnEdge("amalgamation needs an edge in each input graph")
         e1, e2 = args.e1 or g1.edges()[0], args.e2 or g2.edges()[0]
         params = {"e1": list(e1), "e2": list(e2), "mode": args.mode}
-        h = op.apply((g1, g2), params)
+        h = amalgamate(g1, g2, e1, e2, args.mode)
         return [(Recipe(op.name, (certificate(g1), certificate(g2)), params, certificate(h)), h)]
     kw = {name: getattr(args, name) for name in op.options}
     out: list[tuple[Recipe, Graph]] = []

@@ -252,7 +252,10 @@ def _doubling_parts(g: Graph, r: int, root: int):
 
 def apply_moore_double(g: Graph, r: int, root: int, matching: list[int]) -> Graph:
     """Assemble the doubled graph from a recorded leaf bijection."""
-    return _join_copies(*_doubling_parts(g, r, root), matching)
+    h, leaves = _doubling_parts(g, r, root)
+    if sorted(matching) != list(range(len(leaves))):
+        raise ParameterOutOfRange(f"matching is not a permutation of the {len(leaves)} leaves")
+    return _join_copies(h, leaves, matching)
 
 
 def moore_double_matching(

@@ -5,6 +5,13 @@ class CagekitError(Exception):
     """Base class for all cagekit errors."""
 
 
+class NoCandidate(CagekitError):
+    """This input yields no candidate; a search moves on to the next one.
+
+    Any other error from a construction is a bug and propagates.
+    """
+
+
 class ZeroOrder(CagekitError):
     pass
 
@@ -33,7 +40,7 @@ class OrderTooLarge(CagekitError):
     pass
 
 
-class ParameterOutOfRange(CagekitError):
+class ParameterOutOfRange(NoCandidate):
     pass
 
 
@@ -41,23 +48,23 @@ class DegreeMismatch(CagekitError):
     pass
 
 
-class NotCubic(CagekitError):
+class NotCubic(NoCandidate):
     pass
 
 
-class NotTetravalent(CagekitError):
+class NotTetravalent(NoCandidate):
     pass
 
 
-class RadiusTooLarge(CagekitError):
+class RadiusTooLarge(NoCandidate):
     pass
 
 
-class TreeNotInduced(CagekitError):
+class TreeNotInduced(NoCandidate):
     pass
 
 
-class NoCompletion(CagekitError):
+class NoCompletion(NoCandidate):
     pass
 
 
@@ -77,11 +84,11 @@ class OddOrder(CagekitError):
     pass
 
 
-class InvalidConnectingSet(CagekitError):
+class InvalidConnectingSet(NoCandidate):
     pass
 
 
-class OrderTooSmall(CagekitError):
+class OrderTooSmall(NoCandidate):
     pass
 
 

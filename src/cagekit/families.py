@@ -19,6 +19,8 @@ class CirculantSpec:
     S: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidConnectingSet("order must be positive")
         object.__setattr__(self, "S", tuple(sorted(s % self.n for s in self.S)))
 
 
@@ -31,16 +33,10 @@ class GdgpSpec:
     def __post_init__(self):
         object.__setattr__(self, "K", tuple(self.K))
 
-    @property
-    def a(self) -> int:
-        return self.K[0] % self.m
-
 
 def circulant(spec: CirculantSpec) -> Graph:
     """Vertices 0..n-1 with i ~ j exactly when (i - j) mod n lies in S."""
     n, S = spec.n, set(spec.S)
-    if n < 1:
-        raise InvalidConnectingSet("order must be positive")
     if 0 in S:
         raise InvalidConnectingSet("connecting set may not contain 0")
     if any((-s) % n not in S for s in S):

@@ -63,15 +63,6 @@ class Recipe:
             raise MalformedInput(f"bad recipe line {line.strip()!r}: {err!r}") from None
 
 
-def _edge(value) -> tuple[int, int]:
-    u, v = value
-    return u, v
-
-
-def _edges(values) -> list[tuple[int, int]]:
-    return [_edge(e) for e in values]
-
-
 ANY_DEGREE = range(2**31)
 
 
@@ -80,7 +71,8 @@ class Operation:
     """One construction, as the engine grows with it, the CLI runs it and a
     recipe replays it.
 
-    - `apply(parents, params)` replays a recipe.
+    - `apply(parents, params)` replays a recipe; it reads params through
+      the typed readers of `_Params`.
     - `grow(parent, target_girth, budget, **kw)` yields (params, graph); a
       binary operation's parent is the pair.
     - `steps(n, k, g)` yields the engine's steps toward order n, each a
@@ -150,14 +142,15 @@ def _grow_parity(parent, target_girth, budget, n):
 
 def _apply_delete_edges_add_vertices(parents, params):
     return edit(
-        parents[0], remove=_edges(params["removed"]), new_vertices=params["added"],
-        add=_edges(params["edges"]),
+        parents[0], remove=params.edges("removed"), new_vertices=params.integer("added"),
+        add=params.edges("edges"),
     )
 
 
 def _apply_remove_vertices(key: str):
     def apply(parents, params):
-        return edit(remove_vertices(parents[0], params[key])[0], add=_edges(params["edges"]))
+        kept = remove_vertices(parents[0], params.integers(key))[0]
+        return edit(kept, add=params.edges("edges"))
     return apply
 
 
@@ -165,27 +158,27 @@ def _apply_remove_vertices(key: str):
 OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "amalgamate", 2,
-        lambda ps, p: amalgamate(ps[0], ps[1], _edge(p["e1"]), _edge(p["e2"]), p["mode"]),
+        lambda ps, p: amalgamate(ps[0], ps[1], p.edge("e1"), p.edge("e2"), p["mode"]),
         grow=_grow_amalgams,
         degrees=ANY_DEGREE,
     ),
     Operation(
         "subdivide_two", 1,
-        lambda ps, p: apply_subdivide_pair(ps[0], _edge(p["e1"]), _edge(p["e2"])),
+        lambda ps, p: apply_subdivide_pair(ps[0], p.edge("e1"), p.edge("e2")),
         grow=lambda parent, t, budget: iter_subdivide_two(parent, t, budget),
         steps=_adds(2),
         degrees=(3,),
     ),
     Operation(
         "subdivide_three", 1,
-        lambda ps, p: apply_subdivide_triple(ps[0], *_edges([p["e1"], p["e2"], p["e3"]])),
+        lambda ps, p: apply_subdivide_triple(ps[0], p.edge("e1"), p.edge("e2"), p.edge("e3")),
         grow=lambda parent, t, budget: iter_subdivide_three(parent, t, budget),
         steps=_adds(4),
         degrees=(3,),
     ),
     Operation(
         "subdivide_merge", 1,
-        lambda ps, p: apply_subdivide_merge(ps[0], _edge(p["e1"]), _edge(p["e2"])),
+        lambda ps, p: apply_subdivide_merge(ps[0], p.edge("e1"), p.edge("e2")),
         grow=lambda parent, t, budget: iter_subdivide_merge(parent, t, budget),
         steps=_adds(1),
         degrees=(4,),
@@ -199,7 +192,9 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     ),
     Operation(
         "moore_tree_double", 1,
-        lambda ps, p: apply_moore_double(ps[0], p["r"], p["root"], list(p["matching"])),
+        lambda ps, p: apply_moore_double(
+            ps[0], p.integer("r"), p.integer("root"), p.integers("matching")
+        ),
         grow=lambda parent, t, budget, radius, root=None: iter_moore_double(
             parent, radius, budget, root
         ),
@@ -239,26 +234,30 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     ),
     Operation(
         "remove_perfect_matching", 1,
-        lambda ps, p: edit(ps[0], remove=_edges(p["matching"])),
+        lambda ps, p: edit(ps[0], remove=p.edges("matching")),
         grow=_grow_matching,
     ),
     Operation(
         "circulant", 0,
-        lambda ps, p: families.circulant(families.CirculantSpec(p["n"], tuple(p["S"]))),
+        lambda ps, p: families.circulant(
+            families.CirculantSpec(p.integer("n"), p.integers("S"))
+        ),
         grow=_grow_circulant,
         steps=lambda n, k, g: [(None, None, {"n": n})] if g == 4 and n >= 8 else [],
         degrees=(4,),
     ),
     Operation(
         "quartic_parity_graph", 0,
-        lambda ps, p: families.quartic_parity_graph(p["n"]),
+        lambda ps, p: families.quartic_parity_graph(p.integer("n")),
         grow=_grow_parity,
         steps=lambda n, k, g: [(None, None, {"n": n})] if g == 6 and n >= 26 and n % 2 == 0 else [],
         degrees=(4,),
     ),
     Operation(
         "gdgp", 0,
-        lambda ps, p: families.gdgp(families.GdgpSpec(p["m"], p["n"], tuple(p["K"]))),
+        lambda ps, p: families.gdgp(
+            families.GdgpSpec(p.integer("m"), p.integer("n"), p.integers("K"))
+        ),
     ),
 )}
 
@@ -296,8 +295,21 @@ def construct(
     return dedup_first(op.grow(parent, target_girth, budget, **kw))
 
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_list(value, item: Callable[[object], bool]) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(item, value))
+
+
+def _is_edge(value) -> bool:
+    return _is_list(value, _is_int) and len(value) == 2
+
+
 class _Params(dict):
-    """Recipe params as `apply` reads them; a missing key is a bad recipe."""
+    """Recipe params as `apply` reads them. A missing key, or a value of the
+    wrong type or shape, is a bad recipe."""
 
     def __init__(self, operation: str, params: dict):
         super().__init__(params)
@@ -305,6 +317,25 @@ class _Params(dict):
 
     def __missing__(self, key):
         raise ReplayMismatch(f"{self.operation} recipe has no param {key!r}")
+
+    def _read(self, key: str, valid: Callable[[object], bool], kind: str):
+        value = self[key]
+        if not valid(value):
+            raise ReplayMismatch(f"{self.operation} recipe param {key!r} is not {kind}: {value!r}")
+        return value
+
+    def integer(self, key: str) -> int:
+        return self._read(key, _is_int, "an integer")
+
+    def integers(self, key: str) -> list[int]:
+        return list(self._read(key, lambda v: _is_list(v, _is_int), "a list of integers"))
+
+    def edge(self, key: str) -> tuple[int, int]:
+        return tuple(self._read(key, _is_edge, "an edge [u, v]"))
+
+    def edges(self, key: str) -> list[tuple[int, int]]:
+        values = self._read(key, lambda v: _is_list(v, _is_edge), "a list of edges")
+        return [tuple(e) for e in values]
 
 
 def replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:

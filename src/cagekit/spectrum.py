@@ -14,16 +14,9 @@ from .errors import (
     BadSeed,
     BudgetExhausted,
     HorizonTooSmall,
-    InvalidConnectingSet,
     MalformedInput,
-    NoCompletion,
-    NotCubic,
-    NotTetravalent,
-    OrderTooSmall,
-    ParameterOutOfRange,
-    RadiusTooLarge,
+    NoCandidate,
     SpecViolation,
-    TreeNotInduced,
     UnknownOperation,
 )
 from .graph import ACYCLIC, Graph, check_kg
@@ -50,18 +43,12 @@ _EXCLUDED = (
 # Every operation the engine tries for some degree, in the table's order.
 DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
 
-# Failures that mean "this input yields no candidate". Any other error from a
-# construction is a bug and propagates.
-_NO_CANDIDATE = (
-    InvalidConnectingSet,
-    NoCompletion,
-    NotCubic,
-    NotTetravalent,
-    OrderTooSmall,
-    ParameterOutOfRange,
-    RadiusTooLarge,
-    TreeNotInduced,
-)
+# Search policy. The shipped reports depend on these values.
+_ROUNDS = 3  # construction passes after the seed generators
+_REPS_PER_ORDER = 4  # exact-girth graphs kept per order as parents
+_POOL_CAP = 64  # higher-girth graphs kept per order as parents
+_SCAN_CAP = 200  # outputs read from one grow call
+_AMALGAM_TRIES = 15  # edges of each graph an amalgam pair joins at
 
 
 @dataclass(frozen=True)
@@ -76,11 +63,6 @@ class OrderStatus:
 class SearchConfig:
     constructions: tuple[str, ...] = DEFAULT_CONSTRUCTIONS
     budget: int = DEFAULT_BUDGET
-    rounds: int = 3
-    reps_per_order: int = 4
-    pool_cap: int = 64
-    scan_cap: int = 200
-    amalgam_tries: int = 15
     rng_seed: int | None = None
 
     def __post_init__(self):
@@ -146,16 +128,22 @@ class _Engine:
         self.k = k
         self.g = g
         self.horizon = horizon
-        self.config = config
+        self.citations = citations
         self.budget = Budget(config.budget)
         self.pool_limit = horizon + 16
-        self.store: dict[str, Graph] = {}
-        self.log: dict[str, Recipe] = {}
+        # Every stored graph by certificate, with the recipe that made it.
+        self.records: dict[str, tuple[Graph, Recipe]] = {}
+        # Certificates by order; reps[n][0] is the witness for order n.
         self.reps: dict[int, list[str]] = {}
         self.pool: dict[int, list[str]] = {}
         self.state: dict[int, OrderState] = {}
-        self.witness: dict[int, Recipe] = {}
-        self.cited: dict[int, str] = {}
+        self.ops = {
+            arity: [
+                op for op in OPERATIONS.values()
+                if op.arity == arity and k in op.degrees and op.name in config.constructions
+            ]
+            for arity in (0, 1, 2)
+        }
         self.rng = (
             random.Random(config.rng_seed) if config.rng_seed is not None else None
         )
@@ -168,7 +156,6 @@ class _Engine:
                 self.state[n] = OrderState.EXCLUDED_PARITY
             elif (k, g, n) in citations:
                 self.state[n] = OrderState.EXCLUDED_CITED
-                self.cited[n] = citations[(k, g, n)]
             elif excluded_by_excess(k, g, n):
                 self.state[n] = OrderState.EXCLUDED_EXCESS
             else:
@@ -183,20 +170,18 @@ class _Engine:
                 )
             self.commit(seed, "seed", (), {})
 
-    def enabled(self, name: str) -> bool:
-        return name in self.config.constructions
-
     def commit(self, graph: Graph, op: str, parents: tuple[str, ...], params: dict) -> bool:
-        """Route a candidate: exact girth becomes a witness, higher girth
-        joins the side pool, anything else is dropped. True when an order
-        moves to Realized."""
+        """Route a candidate: exact girth becomes a witness or a spare
+        parent, higher girth joins the side pool, anything else is dropped.
+        True when an order moves to Realized."""
         if graph.regularity() != self.k or not graph.is_connected():
             return False
         gg = graph.girth()
         if gg is ACYCLIC or gg < self.g:
             return False
         n = graph.order
-        if gg == self.g:
+        exact = gg == self.g
+        if exact:
             if n > self.horizon:
                 return False
             st = self.state[n]
@@ -205,42 +190,26 @@ class _Engine:
                     f"constructed a ({self.k},{self.g})-graph of order {n}, "
                     f"but that order is marked {st.value}"
                 )
-            cert = certificate(graph)
-            if cert in self.store:
+            buckets, cap = self.reps, _REPS_PER_ORDER
+        else:
+            # A full pool takes nothing, so skip the certificate.
+            if n > self.pool_limit or len(self.pool.get(n, ())) >= _POOL_CAP:
                 return False
-            self.store[cert] = graph
-            recipe = Recipe(op, parents, params, cert)
-            self.log[cert] = recipe
-            bucket = self.reps.setdefault(n, [])
-            if st is OrderState.REALIZED:
-                if len(bucket) < self.config.reps_per_order:
-                    bucket.append(cert)
-                return False
-            self.state[n] = OrderState.REALIZED
-            self.witness[n] = recipe
-            bucket.append(cert)
-            return True
-        if n > self.pool_limit:
-            return False
-        bucket = self.pool.setdefault(n, [])
-        if len(bucket) >= self.config.pool_cap:
-            return False
+            buckets, cap = self.pool, _POOL_CAP
         cert = certificate(graph)
-        if cert in self.store:
+        if cert in self.records:
             return False
-        self.store[cert] = graph
-        self.log[cert] = Recipe(op, parents, params, cert)
-        bucket.append(cert)
-        return False
-
-    def _ops(self, arity: int) -> list[Operation]:
-        return [
-            op for op in OPERATIONS.values()
-            if op.arity == arity and self.k in op.degrees and self.enabled(op.name)
-        ]
+        self.records[cert] = (graph, Recipe(op, parents, params, cert))
+        bucket = buckets.setdefault(n, [])
+        if len(bucket) < cap:
+            bucket.append(cert)
+        if not exact or self.state[n] is OrderState.REALIZED:
+            return False
+        self.state[n] = OrderState.REALIZED
+        return True
 
     def _seed_generators(self) -> None:
-        for op in self._ops(0):
+        for op in self.ops[0]:
             for n in range(self.k + 1, self.horizon + 1):
                 if self.state[n] is OrderState.UNRESOLVED:
                     self._attempt(n, op)
@@ -251,7 +220,7 @@ class _Engine:
         Kept outside the global budget so the additive-closure invariant
         survives budget exhaustion; each pair gets a bounded edge scan.
         """
-        for op in self._ops(2):
+        for op in self.ops[2]:
             changed = True
             while changed:
                 changed = False
@@ -265,8 +234,8 @@ class _Engine:
 
     def _try_amalgam(self, op: Operation, a: int, b: int) -> bool:
         ca, cb = self.reps[a][0], self.reps[b][0]
-        pair = (self.store[ca], self.store[cb])
-        grown = op.grow(pair, self.g, None, tries=self.config.amalgam_tries)
+        pair = (self.records[ca][0], self.records[cb][0])
+        grown = op.grow(pair, self.g, None, tries=_AMALGAM_TRIES)
         return any(self.commit(out, op.name, (ca, cb), params) for params, out in grown)
 
     def _parents(self, order: int | None, source: str | None) -> list[str | None]:
@@ -280,15 +249,15 @@ class _Engine:
         return certs
 
     def _scan(self, op: Operation, cert: str | None, kw: dict) -> bool:
-        parent, parents = (None, ()) if cert is None else (self.store[cert], (cert,))
+        parent, parents = (None, ()) if cert is None else (self.records[cert][0], (cert,))
         try:
             grown = op.grow(parent, self.g, self.budget, **kw)
             for i, (params, out) in enumerate(grown):
-                if i >= self.config.scan_cap:
+                if i >= _SCAN_CAP:
                     break
                 if self.commit(out, op.name, parents, params):
                     return True
-        except _NO_CANDIDATE:
+        except NoCandidate:
             pass
         return False
 
@@ -304,7 +273,7 @@ class _Engine:
         for n in range(self.k + 1, self.horizon + 1):
             if self.state[n] is not OrderState.UNRESOLVED:
                 continue
-            ops = self._ops(1)
+            ops = list(self.ops[1])
             if self.rng is not None:
                 self.rng.shuffle(ops)
             if any(self._attempt(n, op) for op in ops):
@@ -316,7 +285,7 @@ class _Engine:
         try:
             self._seed_generators()
             self._amalgam_closure()
-            for _ in range(self.config.rounds):
+            for _ in range(_ROUNDS):
                 if not any(
                     st is OrderState.UNRESOLVED for st in self.state.values()
                 ):
@@ -331,9 +300,12 @@ class _Engine:
         self._replay_gate()
         return self._report(truncated)
 
+    def _witness(self, n: int) -> Recipe | None:
+        return self.records[self.reps[n][0]][1] if n in self.reps else None
+
     def _replay_gate(self) -> None:
-        for n, recipe in sorted(self.witness.items()):
-            out = verified_replay(recipe, self._resolve)
+        for n in sorted(self.reps):
+            out = verified_replay(self._witness(n), self._resolve)
             reason = check_kg(out, self.k, self.g)
             if reason is not None or out.order != n:
                 raise SpecViolation(
@@ -341,10 +313,10 @@ class _Engine:
                 )
 
     def _resolve(self, cert: str) -> Graph:
-        graph = self.store.get(cert)
-        if graph is None:
+        record = self.records.get(cert)
+        if record is None:
             raise SpecViolation(f"no stored graph for certificate {cert!r}")
-        return graph
+        return record[0]
 
     def _provenance(self) -> tuple[Recipe, ...]:
         ordered: list[Recipe] = []
@@ -354,24 +326,22 @@ class _Engine:
             if cert in seen:
                 return
             seen.add(cert)
-            recipe = self.log.get(cert)
-            if recipe is None:
-                return
+            recipe = self.records[cert][1]
             for parent in recipe.parents:
                 visit(parent)
             ordered.append(recipe)
 
-        for n in sorted(self.witness):
-            visit(self.witness[n].output_cert)
+        for n in sorted(self.reps):
+            visit(self.reps[n][0])
         return tuple(ordered)
 
     def _report(self, truncated: bool) -> SpectrumReport:
         statuses = []
         for n in range(self.k + 1, self.horizon + 1):
             st = self.state[n]
-            statuses.append(
-                OrderStatus(n, st, self.witness.get(n), self.cited.get(n))
-            )
+            cited = st is OrderState.EXCLUDED_CITED
+            citation = self.citations[(self.k, self.g, n)] if cited else None
+            statuses.append(OrderStatus(n, st, self._witness(n), citation))
         n_kg = None
         for status in statuses:
             if status.state is OrderState.REALIZED:

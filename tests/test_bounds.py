@@ -4,8 +4,6 @@ from __future__ import annotations
 import pytest
 
 from cagekit.bounds import (
-    bounds_row,
-    excess_query,
     excluded_by_excess,
     moore_bound,
     moore_tree_size,
@@ -82,10 +80,3 @@ def test_excess_domain():
         moore_bound(3, 2)
     with pytest.raises(ParameterOutOfRange):
         moore_tree_size(3, -1)
-
-
-def test_query_records():
-    row = bounds_row(3, 5)
-    assert (row.moore, row.sauer) == (10, 16)
-    q = excess_query(3, 8, 32)
-    assert q.excess == 2 and q.excluded

@@ -219,6 +219,11 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert "ParameterOutOfRange" in capsys.readouterr().err
 
 
+def test_circulant_of_order_zero_exits_one(capsys):
+    assert main(["circulant", "--n", "0", "--set", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConnectingSet")
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     assert main(["girth", str(tmp_path / "absent.g6")]) == 1
     err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from cagekit.constructions import (
     iter_subdivide_two,
     moore_double_matching,
 )
-from cagekit.errors import MalformedInput, ReplayMismatch, UnknownOperation
+from cagekit.errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
 from cagekit.families import circulant44, gdgp, GdgpSpec, quartic_parity_graph
 from cagekit.named import complete_bipartite, complete_graph, heawood, petersen
 from cagekit.graph import edit
@@ -109,6 +109,30 @@ def test_replay_of_moore_double_without_root():
     params = {"r": 1, "matching": list(moore_double_matching(p, 1, 0))}
     r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
     with pytest.raises(ReplayMismatch, match="moore_tree_double.*'root'"):
+        replay(r, make_resolver(p))
+
+
+@pytest.mark.parametrize("key, alter", [
+    ("added", lambda value: "2"),
+    ("edges", lambda value: [[0, 1, 2]] + value[1:]),
+    ("removed", lambda value: [0]),
+], ids=["added", "edges", "removed"])
+def test_replay_rejects_a_param_of_the_wrong_shape(key, alter):
+    hw = heawood()
+    params, h = next(iter_delete_edges_add_vertices(hw, 3, 2, 6, 10**7))
+    bad = {**params, key: alter(params[key])}
+    r = Recipe.from_line(recorded("delete_edges_add_vertices", [hw], bad, h).to_line())
+    with pytest.raises(ReplayMismatch, match=f"delete_edges_add_vertices.*'{key}'"):
+        replay(r, make_resolver(hw))
+
+
+@pytest.mark.parametrize("alter", [lambda m: m[:-1], lambda m: [99] * len(m)],
+                         ids=["short", "out-of-range"])
+def test_replay_of_moore_double_with_a_bad_matching(alter):
+    p = petersen()
+    params = {"r": 1, "root": 0, "matching": alter(list(moore_double_matching(p, 1, 0)))}
+    r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
+    with pytest.raises(ParameterOutOfRange, match="not a permutation"):
         replay(r, make_resolver(p))
 
 

@@ -13,6 +13,7 @@ from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
     DegreeImbalance,
     DegreeMismatch,
+    NoCandidate,
     NoCompletion,
     NotCubic,
     ParameterOutOfRange,
@@ -41,7 +42,6 @@ from cagekit.rewire import (
     iter_remove_biggs_tree,
 )
 from cagekit.recipes import construct
-from cagekit.spectrum import _NO_CANDIDATE
 
 
 def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
@@ -289,4 +289,4 @@ def test_wrong_generator_is_not_read_as_no_candidate(monkeypatch, bad):
     monkeypatch.setattr(rewire, "automorphism_generators", generators)
     with pytest.raises(SpecViolation) as err:
         list(iter_delete_edges_add_vertices(tutte_coxeter(), 2, 2, 8))
-    assert not isinstance(err.value, _NO_CANDIDATE)
+    assert not isinstance(err.value, NoCandidate)

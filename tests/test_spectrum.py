@@ -13,6 +13,7 @@ from cagekit.errors import (
     HorizonTooSmall,
     IndexOutOfRange,
     MalformedInput,
+    NoCandidate,
     SpecViolation,
     UnknownOperation,
 )
@@ -187,6 +188,20 @@ def test_construction_bug_propagates(monkeypatch):
     config = SearchConfig(constructions=("subdivide_two",))
     with pytest.raises(IndexOutOfRange):
         spectrum_search(3, 5, [petersen()], 20, config)
+
+
+def test_no_candidate_is_exactly_eight_errors():
+    """The engine reads these errors, and no others, as "this input yields
+    no candidate"; a bug-class error joining them would hide the bug."""
+    found, todo = set(), [NoCandidate]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub.__name__)
+            todo.append(sub)
+    assert found == {
+        "InvalidConnectingSet", "NoCompletion", "NotCubic", "NotTetravalent",
+        "OrderTooSmall", "ParameterOutOfRange", "RadiusTooLarge", "TreeNotInduced",
+    }
 
 
 def test_budget_stop_is_reported(report_3_6):
