@@ -31,7 +31,7 @@ deletions.
 """
 from __future__ import annotations
 
-from .graph import ACYCLIC, Graph, relabeled
+from .graph import Graph, relabeled
 from . import graph6
 
 
@@ -235,18 +235,9 @@ def automorphism_generators(g: Graph) -> list[list[int]]:
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test: cheap invariants first, certificates last."""
+    """Exact isomorphism test: order, size and degrees, then certificates."""
     if a.order != b.order or a.size != b.size:
         return False
     if a.degree_sequence() != b.degree_sequence():
-        return False
-    if a.girth() is ACYCLIC:
-        if b.girth() is not ACYCLIC:
-            return False
-    elif b.girth() is ACYCLIC or a.girth() != b.girth():
-        return False
-    ca = refine(a.adjacency, [0] * a.order)
-    cb = refine(b.adjacency, [0] * b.order)
-    if sorted(ca) != sorted(cb):
         return False
     return certificate(a) == certificate(b)

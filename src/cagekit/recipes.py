@@ -24,8 +24,8 @@ from .constructions import (
     iter_subdivide_three,
     iter_subdivide_two,
 )
-from .errors import MalformedInput, ReplayMismatch, UnknownOperation
-from .graph import Graph, edit, remove_vertices
+from .errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
+from .graph import ACYCLIC, Graph, edit, remove_vertices
 from .limits import Budget
 from .rewire import (
     biggs_excision_size,
@@ -115,6 +115,13 @@ def _moore_steps(n, k, g):
     if n % 2:
         return []
     return [(n // 2 + moore_tree_size(k, r), "reps", {"radius": r}) for r in range(g // 4 + 1)]
+
+
+def _target_girth(parent: Graph, target_girth: int | None) -> int:
+    """The target girth, by default the parent's, which a forest lacks."""
+    if target_girth is None and parent.girth() is ACYCLIC:
+        raise ParameterOutOfRange("input graph has no cycle")
+    return parent.girth() if target_girth is None else target_girth
 
 
 def _grow_double_cover(parent, target_girth, budget):
@@ -213,7 +220,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         "delete_vertices", 1,
         _apply_remove_vertices("removed"),
         grow=lambda parent, t, budget, vertices: iter_delete_vertices(
-            parent, vertices, t or parent.girth(), budget
+            parent, vertices, _target_girth(parent, t), budget
         ),
         steps=lambda n, k, g: [(n + m, "reps+pool", {"vertices": m}) for m in (1, 2, 3, 4)],
         degrees=ANY_DEGREE,
@@ -223,7 +230,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         "delete_edges_add_vertices", 1,
         _apply_delete_edges_add_vertices,
         grow=lambda parent, t, budget, edges, vertices: iter_delete_edges_add_vertices(
-            parent, edges, vertices, t or parent.girth(), budget
+            parent, edges, vertices, _target_girth(parent, t), budget
         ),
         steps=lambda n, k, g: [
             (n - v, "reps+pool", {"edges": e, "vertices": v})

@@ -78,6 +78,12 @@ def test_same_degree_sequence_not_isomorphic():
     prism = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     assert not is_isomorphic(prism, complete_bipartite(3, 3))
     assert not is_isomorphic(cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3)))
+    # Two trees with degree sequence 3,3,2,1,1,1,1: the degree-3 vertices
+    # are two apart in one and adjacent in the other.
+    spread = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6)])
+    joined = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6)])
+    assert not is_isomorphic(spread, joined)
+    assert is_isomorphic(spread, shuffled(spread, random.Random(5)))
 
 
 def test_petersen_models_agree():

@@ -126,6 +126,31 @@ def test_construct_moore_double_skips_inadmissible_roots(tmp_path, capsys):
     assert "TreeNotInduced" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("delete_vertices", ["--vertices", "1"]),
+        ("delete_edges_add_vertices", ["--edges", "1", "--vertices", "0"]),
+        ("moore_tree_double", ["--radius", "1"]),
+    ],
+)
+def test_construct_on_an_acyclic_input_exits_one(tmp_path, capsys, name, flags):
+    # a perfect matching on 4 vertices: 1-regular, no cycle, no girth to keep
+    src = write_g6(tmp_path / "in.g6", [graph6.decode("C`")])
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", name, "--in", src, "--out", out, *flags]) == 1
+    assert "ParameterOutOfRange" in capsys.readouterr().err
+
+
+def test_construct_rejects_target_girth_zero(tmp_path, capsys):
+    # 0 is a target below 3, not "unset": the parent's girth would be used
+    src = write_g6(tmp_path / "in.g6", [petersen()])
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", "delete_vertices", "--in", src, "--out", out,
+                 "--vertices", "2", "--target-girth", "0"]) == 1
+    assert "ParameterOutOfRange" in capsys.readouterr().err
+
+
 def test_generators_stream_to_stdout(capsys):
     assert main(["circulant", "--n", "10", "--set", "1,3,7,9"]) == 0
     line = capsys.readouterr().out.strip()

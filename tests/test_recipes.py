@@ -1,6 +1,8 @@
 """Recorded constructions: line format, replay, and verification."""
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
 from cagekit.canon import certificate
@@ -256,6 +258,41 @@ def test_every_operation_replays():
     for recipe, resolver in cases:
         out = verified_replay(recipe, resolver)
         assert certificate(out) == recipe.output_cert
+
+
+# name -> (parent, target girth, grow keywords); a pair for amalgamate
+GROW_CASES = {
+    "amalgamate": ((petersen(), heawood()), 5, {"tries": 3}),
+    "subdivide_two": (petersen(), None, {}),
+    "subdivide_three": (petersen(), None, {}),
+    "subdivide_merge": (complete_graph(5), None, {}),
+    "canonical_double_cover": (complete_graph(5), None, {}),
+    "moore_tree_double": (petersen(), None, {"radius": 1}),
+    "remove_biggs_tree": (heawood(), None, {}),
+    "delete_vertices": (circulant44(11), 3, {"vertices": 1}),
+    "delete_edges_add_vertices": (heawood(), 6, {"edges": 3, "vertices": 2}),
+    "remove_perfect_matching": (complete_bipartite(4, 4), None, {}),
+    "circulant": (None, None, {"n": 11}),
+    "quartic_parity_graph": (None, None, {"n": 26}),
+}
+
+
+def test_grow_cases_cover_every_growing_operation():
+    assert set(GROW_CASES) == {name for name, op in OPERATIONS.items() if op.grow}
+
+
+@pytest.mark.parametrize("name", sorted(GROW_CASES))
+def test_replay_rebuilds_what_grow_emits_label_for_label(name):
+    """The spectrum engine's replay gate relies on this: a recipe replays to
+    the very graph its operation emitted, not just to an isomorphic one."""
+    parent, target_girth, kw = GROW_CASES[name]
+    op = OPERATIONS[name]
+    parents = {0: (), 1: (parent,), 2: parent}[op.arity]
+    grown = list(islice(op.grow(parent, target_girth, 10**7, **kw), 5))
+    assert grown
+    resolve = make_resolver(*parents)
+    for params, out in grown:
+        assert replay(recorded(name, parents, params, out), resolve) == out
 
 
 def test_line_round_trip_for_every_operation():

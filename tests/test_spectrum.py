@@ -1,15 +1,17 @@
 """Spectrum engine: order classification, closure, witnesses, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
+from cagekit import canon, recipes, spectrum
 from cagekit.bounds import moore_bound, parity_admissible
 from cagekit.canon import certificate
-from cagekit import recipes
 from cagekit.errors import (
     BadSeed,
+    CagekitError,
     HorizonTooSmall,
     IndexOutOfRange,
     MalformedInput,
@@ -188,6 +190,84 @@ def test_construction_bug_propagates(monkeypatch):
     config = SearchConfig(constructions=("subdivide_two",))
     with pytest.raises(IndexOutOfRange):
         spectrum_search(3, 5, [petersen()], 20, config)
+
+
+def _grow_subdivide_two_with(monkeypatch, alter):
+    """Patch subdivide_two to record alter(parent, params) for each output."""
+    op = recipes.OPERATIONS["subdivide_two"]
+
+    def grow(parent, target_girth, budget):
+        for params, out in op.grow(parent, target_girth, budget):
+            yield alter(parent, params), out
+
+    monkeypatch.setitem(recipes.OPERATIONS, "subdivide_two", dataclasses.replace(op, grow=grow))
+
+
+def _run_subdivide_two_to_twelve():
+    config = SearchConfig(constructions=("subdivide_two",))
+    return spectrum_search(3, 5, [petersen()], 12, config)
+
+
+def test_gate_passes_subdivide_two_witnesses(monkeypatch):
+    _grow_subdivide_two_with(monkeypatch, lambda parent, params: params)
+    report = _run_subdivide_two_to_twelve()
+    assert report.realized_orders() == [10, 12]
+    assert report.statuses[-1].witness.operation == "subdivide_two"
+
+
+def _swap_edges(parent, params):
+    # an isomorphic, relabelled replay: the two new vertices trade places
+    return {"e1": params["e2"], "e2": params["e1"]}
+
+
+def _other_second_edge(parent, params):
+    other = next(e for e in parent.edges() if list(e) not in (params["e1"], params["e2"]))
+    return {"e1": params["e1"], "e2": list(other)}
+
+
+@pytest.mark.parametrize("alter", [_swap_edges, _other_second_edge], ids=["swapped", "other"])
+def test_gate_rejects_a_witness_that_replays_to_another_graph(monkeypatch, alter):
+    _grow_subdivide_two_with(monkeypatch, alter)
+    with pytest.raises(CagekitError):
+        _run_subdivide_two_to_twelve()
+
+
+def test_gate_rejects_a_parent_that_was_never_stored(monkeypatch):
+    # The engine, not the grow, names a recipe's parents, so patch commit.
+    commit = spectrum._Engine.commit
+
+    def misnamed(self, graph, op, parents, params):
+        if op == "subdivide_two":
+            parents = ("never-stored",)
+        return commit(self, graph, op, parents, params)
+
+    monkeypatch.setattr(spectrum._Engine, "commit", misnamed)
+    with pytest.raises(CagekitError, match="never-stored"):
+        _run_subdivide_two_to_twelve()
+
+
+def test_replay_gate_runs_no_canonical_search(monkeypatch):
+    calls = {"gate": 0, "elsewhere": 0}
+    where = ["elsewhere"]
+    search, gate = canon._canonical_perm, spectrum._Engine._replay_gate
+
+    def counted(g):
+        calls[where[0]] += 1
+        return search(g)
+
+    def watched(self):
+        where[0] = "gate"
+        try:
+            gate(self)
+        finally:
+            where[0] = "elsewhere"
+
+    monkeypatch.setattr(canon, "_canonical_perm", counted)
+    monkeypatch.setattr(spectrum._Engine, "_replay_gate", watched)
+    report = spectrum_search(3, 5, [petersen()], 40)
+    assert len(report.realized_orders()) > 10
+    assert calls["elsewhere"] > 0
+    assert calls["gate"] == 0
 
 
 def test_no_candidate_is_exactly_eight_errors():
