@@ -54,7 +54,7 @@ def _parse_edge(text: str) -> tuple[int, int]:
 
 def cmd_verify(args) -> int:
     failures = 0
-    for i, g in enumerate(graph6.iter_file(args.file), start=1):
+    for i, g in graph6.iter_lines(args.file):
         reason = check_kg(g, args.k, args.g)
         if reason is None:
             print(f"line {i}: PASS")

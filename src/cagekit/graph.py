@@ -1,7 +1,6 @@
 """Immutable simple graphs plus the distance/girth primitives everything else builds on."""
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, MultiEdge, NotAnEdge, ParameterOutOfRange, SameEdge, ZeroOrder
@@ -75,16 +74,14 @@ class Graph:
     __slots__ = ("_adj", "_edges", "_girth", "_cert", "_dist", "_autos")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
-        adj = []
-        for u, nbrs in enumerate(adjacency):
-            row = tuple(sorted(nbrs))
-            adj.append(row)
+        adj = [tuple(sorted(nbrs)) for nbrs in adjacency]
         n = len(adj)
         edges = []
         for u, row in enumerate(adj):
             prev = -1
             for v in row:
-                _check_vertex(v, n)
+                if type(v) is not int or not 0 <= v < n:
+                    _check_vertex(v, n)  # raises unless v is an int subclass in range
                 if v == u:
                     raise SameEdge(f"loop at vertex {u}")
                 if v == prev:
@@ -93,12 +90,12 @@ class Graph:
                 if u < v:
                     edges.append((u, v))
         self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(edges))
+        self._edges: tuple[tuple[int, int], ...] = tuple(edges)  # rows are sorted
         # symmetry check: every u-v needs the matching v-u entry
         for u, v in self._edges:
             if u not in self._adj[v]:
                 raise NotAnEdge(f"asymmetric adjacency {u}-{v}")
-        if 2 * len(self._edges) != sum(len(r) for r in self._adj):
+        if 2 * len(self._edges) != sum(map(len, self._adj)):
             raise NotAnEdge("asymmetric adjacency")
         self._girth: int | _Sentinel | None = None
         self._cert: str | None = None
@@ -188,41 +185,50 @@ class Graph:
     def girth(self):
         """Length of a shortest cycle; ACYCLIC for forests.
 
-        BFS from every vertex with parent tracking; a non-tree edge met at
-        depth d closes a cycle of length dist[u]+dist[w]+1, and the minimum
-        over all roots is exact.
+        One BFS per root over the vertices >= root, each cut at the depth
+        where it can no longer find a shorter cycle.
         """
         if self._girth is None:
             self._girth = self._compute_girth()
         return self._girth
 
     def _compute_girth(self):
-        # A cycle search (parent tracking, depth cut), not a distance query.
+        # A cycle search with depth cuts, not a distance query. An edge from
+        # depth du to a vertex already at depth du or du+1 is not a tree edge
+        # and closes a walk of length du+dist[w]+1 holding a cycle; an edge
+        # back to depth du-1 is the tree edge or was met from its other end.
+        # Every such walk is at least the girth, and a shortest cycle lies
+        # among the vertices >= its smallest vertex, where the BFS from that
+        # vertex finds it: so the minimum over roots is exact.
         n = self.order
         adj = self._adj
-        best: int | None = None
+        best = n + 1  # longer than any cycle
+        dist = [-1] * n
         for root in range(n):
-            dist = [-1] * n
-            parent = [-1] * n
             dist[root] = 0
-            q = deque([root])
-            while q:
-                u = q.popleft()
-                du = dist[u]
-                if best is not None and 2 * du >= best:
-                    break  # deeper candidates cannot improve
-                for w in adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        q.append(w)
-                    elif w != parent[u]:
-                        c = du + dist[w] + 1
-                        if best is None or c < best:
-                            best = c
+            seen = [root]
+            level = [root]
+            du = 0
+            while level and 2 * du < best:  # deeper levels cannot improve
+                grow = 2 * du + 2 < best  # a vertex at depth du+1 still can
+                nxt = []
+                for u in level:
+                    for w in adj[u]:
+                        dw = dist[w]
+                        if dw < 0:
+                            if grow and w > root:
+                                dist[w] = du + 1
+                                nxt.append(w)
+                        elif dw >= du and du + dw + 1 < best:
+                            best = du + dw + 1
+                seen += nxt
+                level = nxt
+                du += 1
+            for v in seen:
+                dist[v] = -1
             if best == 3:
                 break
-        return ACYCLIC if best is None else best
+        return ACYCLIC if best > n else best
 
     # -- edge utilities ---------------------------------------------------------
 
@@ -265,8 +271,10 @@ def _build(rows: list[list[int]], edges: Iterable[tuple[int, int]]) -> Graph:
     loops, repeated edges and asymmetry are left to the constructor."""
     n = len(rows)
     for u, v in edges:
-        _check_vertex(u, n)
-        _check_vertex(v, n)
+        if type(u) is not int or not 0 <= u < n:
+            _check_vertex(u, n)
+        if type(v) is not int or not 0 <= v < n:
+            _check_vertex(v, n)
         rows[u].append(v)
         rows[v].append(u)
     return Graph(rows)

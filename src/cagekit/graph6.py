@@ -19,84 +19,103 @@ def _encode_order(n: int) -> str:
     return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
 
 
+# The payload is the upper triangle in column order: bit p stands for the
+# pair (i, j), i < j, with p = j(j-1)/2 + i, six bits to a byte, high bit first.
+_OFFSETS = tuple(tuple(k for k in range(6) if v & (32 >> k)) for v in range(64))
+_IN_RANGE = bytes(range(63, 127))
+_PLUS_63 = _IN_RANGE + bytes(192)
+
+
 def encode(g: Graph) -> str:
     """Encode one graph as a graph6 line (without newline)."""
     n = g.order
     if n > _MAX_ORDER:
         raise OrderTooLarge(f"order {n} exceeds graph6 cap {_MAX_ORDER}")
-    out = [_encode_order(n)]
-    adj = g.adjacency
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = set(adj[j])
-        for i in range(j):
-            acc = (acc << 1) | (1 if i in row else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():
+        p = (j * (j - 1) >> 1) + i
+        body[p // 6] |= 32 >> (p % 6)
+    return _encode_order(n) + body.translate(_PLUS_63).decode("ascii")
+
+
+def _out_of_range(ch: str) -> MalformedGraph6:
+    return MalformedGraph6(f"byte {ord(ch)} out of graph6 range")
 
 
 def decode(line: str) -> Graph:
-    """Decode one graph6 line."""
+    """Decode one graph6 line.
+
+    Costs O(n + m) beyond one pass over the line: only payload bytes other
+    than '?' (no bit set) are visited.
+    """
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:
         raise MalformedGraph6("empty line")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise MalformedGraph6(f"byte {ord(ch)} out of graph6 range")
-    vals = [ord(ch) - 63 for ch in s]
-    if vals[0] < 63:
-        n = vals[0]
-        body = vals[1:]
-    elif len(vals) >= 2 and vals[1] < 63:
-        if len(vals) < 4:
+    data = s.encode("utf-8", "surrogatepass")  # non-ASCII gives bytes above 126
+    if data.translate(None, _IN_RANGE):
+        raise _out_of_range(next(c for c in s if not "?" <= c <= "~"))
+    if data[0] < 126:
+        n, off = data[0] - 63, 1
+    elif len(data) >= 2 and data[1] < 126:
+        if len(data) < 4:
             raise MalformedGraph6("truncated order field")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        off = 4
     else:
-        if len(vals) < 8:
+        if len(data) < 8:
             raise MalformedGraph6("truncated order field")
         n = 0
-        for v in vals[2:8]:
-            n = (n << 6) | v
-        body = vals[8:]
+        for v in data[2:8]:
+            n = (n << 6) | (v - 63)
+        off = 8
     if n > _MAX_ORDER:
         raise OrderTooLarge(f"order {n} exceeds graph6 cap {_MAX_ORDER}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) != need:
-        raise MalformedGraph6(f"expected {need} payload bytes, got {len(body)}")
-    bits = 0
-    for v in body:
-        bits = (bits << 6) | v
-    total = 6 * need
-    if need and bits & ((1 << (total - nbits)) - 1):
+    if len(data) - off != need:
+        raise MalformedGraph6(f"expected {need} payload bytes, got {len(data) - off}")
+    if need and (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise MalformedGraph6("nonzero padding bits")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (bits >> (total - 1 - pos)) & 1:
-                edges.append((i, j))
-            pos += 1
-    return Graph.from_edges(n, edges)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    j, start = 1, 0  # bit p lies in column j while start <= p < start + j
+    for idx, v in enumerate(data[off:]):
+        if v != 63:
+            base = 6 * idx
+            for k in _OFFSETS[v - 63]:
+                p = base + k
+                while p >= start + j:
+                    start += j
+                    j += 1
+                rows[p - start].append(j)
+                rows[j].append(p - start)
+    return Graph(rows)
+
+
+def iter_lines(path: str | os.PathLike) -> Iterator[tuple[int, Graph]]:
+    """Stream (line number, graph) from a file, one graph per line; blank
+    lines are skipped but counted. A malformed line raises its error with
+    the path and line number in front of the message."""
+    # latin-1 reads each byte as one character, so a non-ASCII byte is
+    # reported like any other out-of-range byte. It is caught before
+    # str.strip(), which would remove some of them (\x85, \xa0).
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if not line.isascii():
+                    raise _out_of_range(next(c for c in line if not c.isascii()))
+                g = decode(line) if line.strip() else None
+            except (MalformedGraph6, OrderTooLarge) as err:
+                raise type(err)(f"{os.fspath(path)}:{lineno}: {err}") from None
+            if g is not None:
+                yield lineno, g
 
 
 def iter_file(path: str | os.PathLike) -> Iterator[Graph]:
     """Stream graphs from a file, one per line; blank lines are skipped."""
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
-                yield decode(line)
+    for _, g in iter_lines(path):
+        yield g
 
 
 def read_file(path: str | os.PathLike) -> list[Graph]:

@@ -53,8 +53,8 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 def pack_graph6(n: int, edges) -> str:
-    """Independent graph6 writer for n <= 62."""
-    assert n <= 62
+    """Independent graph6 writer for n <= 258047 (1- and 4-byte order fields)."""
+    assert n <= 258047
     es = {(min(u, v), max(u, v)) for u, v in edges}
     bits = []
     for j in range(1, n):
@@ -62,7 +62,7 @@ def pack_graph6(n: int, edges) -> str:
             bits.append(1 if (i, j) in es else 0)
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(n + 63)]
+    chars = [chr(n + 63)] if n <= 62 else ["~"] + [chr((n >> s) % 64 + 63) for s in (12, 6, 0)]
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i : i + 6]:

@@ -45,6 +45,30 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert main(["verify", "--k", "3", "--g", "5", path]) == 0
 
 
+def test_verify_numbers_the_lines_of_the_file(tmp_path, capsys):
+    path = tmp_path / "gaps.g6"
+    path.write_text(f"{graph6.encode(petersen())}\n\n{graph6.encode(heawood())}\n  \n")
+    assert main(["verify", "--k", "3", "--g", "5", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "line 1: PASS", "line 3: FAIL girth 6, expected 5"]
+
+
+@pytest.mark.parametrize("command", [["verify", "--k", "3", "--g", "3"], ["girth"]])
+@pytest.mark.parametrize("content, lineno, message", [
+    (b"C~\n\xc3\xa9\n", 2, "byte 195 out of graph6 range"),  # non-ASCII
+    (b"C~\n\nC~\xa0\n", 3, "byte 160 out of graph6 range"),  # not stripped as space
+    (b"C~\n\n\nC\n", 4, "expected 1 payload bytes, got 0"),
+    (b"~~~~~~~~\n", 1, "order 68719476735 exceeds graph6 cap 262144"),
+])
+def test_malformed_line_names_file_and_line(tmp_path, capsys, command, content, lineno, message):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(content)
+    assert main(command + [str(path)]) == 1
+    err = capsys.readouterr().err
+    name = "OrderTooLarge" if "cap" in message else "MalformedGraph6"
+    assert err == f"error: {name}: {path}:{lineno}: {message}\n"
+
+
 def test_girth_lines(tmp_path, capsys):
     path = write_g6(tmp_path / "in.g6", [petersen(), mcgee()])
     assert main(["girth", path]) == 0

@@ -25,9 +25,19 @@ from cagekit.errors import (
     SameEdge,
     ZeroOrder,
 )
-from cagekit.named import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen
+from cagekit.named import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    heawood,
+    mcgee,
+    path_graph,
+    petersen,
+    tutte_coxeter,
+)
 
-from helpers import all_labeled_graphs, brute_girth, random_graph
+import read_oracle
+from helpers import all_labeled_graphs, brute_girth, hypercube, random_graph, shuffled
 
 
 def test_girth_matches_brute_force_exhaustively_to_order_5():
@@ -61,6 +71,31 @@ def test_girth_hand_values():
     assert petersen().girth() == 5
     assert path_graph(5).girth() is ACYCLIC
     assert Graph.from_edges(0, []).girth() is ACYCLIC
+
+
+def _random_forest(n, rng):
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
+
+
+def test_girth_matches_the_all_roots_oracle():
+    rng = random.Random(9)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(20, 130)
+        cases.append(random_graph(n, rng.choice([1.2, 2.0, 3.0, 6.0]) / n, rng))
+    named = (tutte_coxeter(), mcgee(), hypercube(5), heawood())
+    cases += [shuffled(g, rng) for g in named for _ in range(3)]
+    for _ in range(10):
+        a, b = _random_forest(rng.randint(1, 40), rng), _random_forest(rng.randint(1, 40), rng)
+        cases += [a, disjoint_union(a, b), disjoint_union(a, cycle_graph(rng.randint(3, 30))),
+                  disjoint_union(cycle_graph(rng.randint(3, 30)), shuffled(petersen(), rng))]
+    # the only shortest cycle is a square, or a triangle, on the highest labels
+    nine = [(v, (v + 1) % 9) for v in range(9)]
+    cases.append(Graph.from_edges(13, nine + [(8, 9), (9, 10), (10, 11), (11, 12), (12, 9)]))
+    cases.append(Graph.from_edges(12, nine + [(8, 9), (9, 10), (10, 11), (11, 9)]))
+    for g in cases:
+        assert g.girth() == read_oracle.girth(g), g
+    assert {read_oracle.girth(g) for g in cases} >= {ACYCLIC, 3, 4, 5, 6, 7, 8}
 
 
 def test_acyclic_sentinel_refuses_comparison():
@@ -119,6 +154,22 @@ def test_constructor_validation():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(NotAnEdge):
         Graph([(1,), ()])  # asymmetric adjacency
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "True"), (1.0, "1.0"), (-1, "-1"), (2, "2")])
+def test_constructor_rejects_entries_that_are_not_vertices(bad, shown):
+    with pytest.raises(IndexOutOfRange, match=rf"^vertex {shown} not in 0\.\.1$"):
+        Graph([(bad,), (0,)])
+    with pytest.raises(IndexOutOfRange, match=rf"^vertex {shown} not in 0\.\.1$"):
+        Graph.from_edges(2, [(0, bad)])
+
+
+def test_constructor_accepts_int_subclasses():
+    class Label(int):
+        pass
+
+    g = Graph([(Label(1),), (Label(0),)])
+    assert g == Graph([(1,), (0,)]) and g.edges() == ((0, 1),)
 
 
 def test_surgery():

@@ -10,6 +10,7 @@ from cagekit.errors import MalformedGraph6, OrderTooLarge
 from cagekit.graph import Graph
 from cagekit.named import complete_graph, cycle_graph, petersen
 
+import read_oracle
 from helpers import pack_graph6, random_graph
 
 
@@ -22,8 +23,67 @@ def test_k4_is_a_tilde():
 def test_encode_matches_independent_packer():
     rng = random.Random(99)
     for _ in range(200):
-        g = random_graph(rng.randint(0, 12), rng.choice([0.0, 0.3, 0.6, 1.0]), rng)
+        g = random_graph(rng.randint(0, 130), rng.choice([0.0, 0.02, 0.3, 0.6, 1.0]), rng)
         assert graph6.encode(g) == pack_graph6(g.order, g.edges())
+
+
+def _sample_graphs(rng, count):
+    """Random graphs of order 0..130 (both order-field widths), sparse to complete."""
+    for _ in range(count):
+        n = rng.randint(0, 130)
+        yield random_graph(n, rng.choice([0.0, 2.0 / max(n, 1), 0.05, 0.5, 1.0]), rng)
+
+
+def test_decode_matches_the_bit_by_bit_oracle():
+    rng = random.Random(2026)
+    for g in _sample_graphs(rng, 60):
+        line = graph6.encode(g)
+        for text in (line, line + "\n", ">>graph6<<" + line, " " + line + "\r\n"):
+            got = graph6.decode(text)
+            assert got == read_oracle.decode(text) == g
+            assert got.edges() == g.edges()
+
+
+def _mutants(rng, line):
+    """Corruptions of one valid line: truncated, extended, one byte replaced
+    (in or out of range, non-ASCII too), padding or order field altered."""
+    yield line[:rng.randrange(len(line))]
+    yield line + chr(rng.randint(63, 126))
+    k = rng.randrange(len(line))
+    yield line[:k] + chr(rng.choice([rng.randint(63, 126), rng.randint(0, 62),
+                                     rng.randint(127, 255), 0x2003])) + line[k + 1:]
+    yield line[:-1] + chr(ord(line[-1]) | 1)
+    yield "~" + line
+    yield "~~" + line
+    yield "~" + line[1:]
+
+
+# blank, header only, every order-field width cut short or over the cap, and
+# whitespace the strip must keep or remove
+_HAND_LINES = ["", " \t", ">>graph6<<", "~", "~?", "~??", "~~", "~~?????", "~~??????",
+              "~~?????~", "~~??~???", "~~~~~~~~", "~???", "~?~~", "~??~", "?", "@", "A?",
+              "~\x7f", "C~\x00", "\x85C~", "C~\xa0", "C\udc80"]
+
+
+def test_malformed_inputs_fail_as_under_the_oracle():
+    rng = random.Random(77)
+    lines = _HAND_LINES + [m for g in _sample_graphs(rng, 60)
+                             for m in _mutants(rng, graph6.encode(g))]
+    outcomes = set()
+    for text in lines:
+        try:
+            want = read_oracle.decode(text)
+        except (MalformedGraph6, OrderTooLarge) as err:
+            with pytest.raises(type(err)) as got:
+                graph6.decode(text)
+            assert str(got.value) == str(err), repr(text)
+            outcomes.add(type(err).__name__ + str(err).split()[0])
+        else:
+            assert graph6.decode(text) == want, repr(text)
+            outcomes.add("valid")
+    # every check of the decoder is reached: range, order field, cap, length, padding
+    assert {"valid", "MalformedGraph6empty", "MalformedGraph6byte", "MalformedGraph6truncated",
+            "OrderTooLargeorder", "MalformedGraph6expected", "MalformedGraph6nonzero"} <= outcomes
 
 
 def test_round_trip_small_and_large_orders():
