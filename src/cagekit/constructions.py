@@ -2,8 +2,7 @@
 matching removal, and the canonical double cover."""
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     DegreeMismatch,
@@ -51,9 +50,57 @@ def _required_girth(g: Graph, target_girth: int | None) -> int:
     return target_girth
 
 
-def _edge_distance_at_least(g: Graph, e1, e2, floor: int) -> bool:
-    d = g.edge_distance(e1, e2)
-    return d is UNREACHABLE or d >= floor
+def _far_rows(g: Graph, floor: int) -> Callable[[int], int]:
+    """Compatibility rows over g.edges(), built on first use.
+
+    Bit j of row(i) is set exactly when edges i and j are at edge distance
+    at least floor (g.edge_distance), or in different components. Edge
+    distance is the closest endpoint pair plus one, so that holds when no
+    endpoint of edge j lies within floor - 2 of an endpoint of edge i: row(i)
+    is every edge that touches neither endpoint's ball of that radius.
+    """
+    edges = g.edges()
+    radius = floor - 2
+    full = (1 << len(edges)) - 1
+    at_vertex = [0] * g.order
+    for j, (u, v) in enumerate(edges):
+        at_vertex[u] |= 1 << j
+        at_vertex[v] |= 1 << j
+    near: list[int | None] = [None] * g.order  # edges touching each vertex's ball
+    rows: list[int | None] = [None] * len(edges)
+
+    def touching_ball(v: int) -> int:
+        mask = near[v]
+        if mask is None:
+            mask = 0
+            if radius >= 0:
+                for w, d in enumerate(bfs_distances(g.adjacency, v, radius)):
+                    if d >= 0:
+                        mask |= at_vertex[w]
+            near[v] = mask
+        return mask
+
+    def row(i: int) -> int:
+        mask = rows[i]
+        if mask is None:
+            a, b = edges[i]
+            mask = rows[i] = full & ~(touching_ball(a) | touching_ball(b))
+        return mask
+
+    return row
+
+
+def _far_pairs(g: Graph, floor: int, budget: Budget) -> Iterator[tuple]:
+    """Edge pairs at edge distance at least floor (or in different
+    components), in combinations order; one budget step per pair tested."""
+    edges = g.edges()
+    row = _far_rows(g, floor)
+    for i in range(len(edges) - 1):
+        far = row(i)
+        for j in range(i + 1, len(edges)):
+            budget.spend()
+            if far >> j & 1:
+                yield edges[i], edges[j]
 
 
 def amalgamate(g1: Graph, g2: Graph, e1, e2, mode: str = "cross") -> Graph:
@@ -104,11 +151,7 @@ def iter_subdivide_two(
     if g.regularity() != 3:
         raise NotCubic("two-edge subdivision needs a cubic input")
     floor = _required_girth(g, target_girth) - 2
-    budget = coerce_budget(budget)
-    for e1, e2 in combinations(g.edges(), 2):
-        budget.spend()
-        if not _edge_distance_at_least(g, e1, e2, floor):
-            continue
+    for e1, e2 in _far_pairs(g, floor, coerce_budget(budget)):
         yield {"e1": list(e1), "e2": list(e2)}, apply_subdivide_pair(g, e1, e2)
 
 
@@ -119,16 +162,23 @@ def iter_subdivide_three(
         raise NotCubic("three-edge subdivision needs a cubic input")
     floor = _required_girth(g, target_girth) - 3
     budget = coerce_budget(budget)
-    for e1, e2, e3 in combinations(g.edges(), 3):
-        budget.spend()
-        if not (
-            _edge_distance_at_least(g, e1, e2, floor)
-            and _edge_distance_at_least(g, e1, e3, floor)
-            and _edge_distance_at_least(g, e2, e3, floor)
-        ):
-            continue
-        params = {"e1": list(e1), "e2": list(e2), "e3": list(e3)}
-        yield params, apply_subdivide_triple(g, e1, e2, e3)
+    edges = g.edges()
+    m = len(edges)
+    row = _far_rows(g, floor)
+    for i in range(m - 2):
+        far_i = row(i)
+        for j in range(i + 1, m - 1):
+            if not far_i >> j & 1:
+                # one step per (i, j, l) triple, as if each were tested; none can yield
+                budget.spend(m - 1 - j)
+                continue
+            far = far_i & row(j)
+            for l in range(j + 1, m):
+                budget.spend()
+                if far >> l & 1:
+                    e1, e2, e3 = edges[i], edges[j], edges[l]
+                    params = {"e1": list(e1), "e2": list(e2), "e3": list(e3)}
+                    yield params, apply_subdivide_triple(g, e1, e2, e3)
 
 
 def iter_subdivide_merge(
@@ -137,14 +187,8 @@ def iter_subdivide_merge(
     if g.regularity() != 4:
         raise NotTetravalent("subdivide-and-merge needs a 4-regular input")
     required = _required_girth(g, target_girth)
-    floor = required - 2
-    budget = coerce_budget(budget)
-    for e1, e2 in combinations(g.edges(), 2):
-        budget.spend()
-        if set(e1) & set(e2):
-            continue
-        if not _edge_distance_at_least(g, e1, e2, floor):
-            continue
+    # edge distance 2 or more also means the two edges share no vertex
+    for e1, e2 in _far_pairs(g, max(required - 2, 2), coerce_budget(budget)):
         h = apply_subdivide_merge(g, e1, e2)
         # the distance floor alone permits a (required-1)-cycle through the
         # merged vertex, so each output is gated on its actual girth

@@ -48,12 +48,15 @@ def decode(line: str) -> Graph:
     Costs O(n + m) beyond one pass over the line: only payload bytes other
     than '?' (no bit set) are visited.
     """
+    # before str.strip(), which would remove some non-ASCII characters (\x85, \xa0)
+    if not line.isascii():
+        raise _out_of_range(next(c for c in line if not c.isascii()))
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:
         raise MalformedGraph6("empty line")
-    data = s.encode("utf-8", "surrogatepass")  # non-ASCII gives bytes above 126
+    data = s.encode("ascii")
     if data.translate(None, _IN_RANGE):
         raise _out_of_range(next(c for c in s if not "?" <= c <= "~"))
     if data[0] < 126:
@@ -98,14 +101,12 @@ def iter_lines(path: str | os.PathLike) -> Iterator[tuple[int, Graph]]:
     lines are skipped but counted. A malformed line raises its error with
     the path and line number in front of the message."""
     # latin-1 reads each byte as one character, so a non-ASCII byte is
-    # reported like any other out-of-range byte. It is caught before
-    # str.strip(), which would remove some of them (\x85, \xa0).
+    # reported like any other out-of-range byte; a line of non-ASCII
+    # whitespace is not blank.
     with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                if not line.isascii():
-                    raise _out_of_range(next(c for c in line if not c.isascii()))
-                g = decode(line) if line.strip() else None
+                g = decode(line) if line.strip() or not line.isascii() else None
             except (MalformedGraph6, OrderTooLarge) as err:
                 raise type(err)(f"{os.fspath(path)}:{lineno}: {err}") from None
             if g is not None:

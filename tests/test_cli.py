@@ -57,6 +57,7 @@ def test_verify_numbers_the_lines_of_the_file(tmp_path, capsys):
 @pytest.mark.parametrize("content, lineno, message", [
     (b"C~\n\xc3\xa9\n", 2, "byte 195 out of graph6 range"),  # non-ASCII
     (b"C~\n\nC~\xa0\n", 3, "byte 160 out of graph6 range"),  # not stripped as space
+    (b"C~\n\x85\n", 2, "byte 133 out of graph6 range"),  # not a blank line
     (b"C~\n\n\nC\n", 4, "expected 1 payload bytes, got 0"),
     (b"~~~~~~~~\n", 1, "order 68719476735 exceeds graph6 cap 262144"),
 ])

@@ -1,10 +1,13 @@
 """Edge amalgamation, subdivisions, Moore-tree doubling, matchings, covers."""
 from __future__ import annotations
 
+import os
 import random
+from collections import Counter
 
 import pytest
 
+from cagekit import constructions, graph6
 from cagekit.canon import certificate, is_isomorphic
 from cagekit.constructions import (
     amalgamate,
@@ -17,6 +20,7 @@ from cagekit.constructions import (
 )
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
+    BudgetExhausted,
     DegreeMismatch,
     NoPerfectMatching,
     NotAnEdge,
@@ -26,7 +30,7 @@ from cagekit.errors import (
     ParameterOutOfRange,
     TreeNotInduced,
 )
-from cagekit.families import CirculantSpec, circulant
+from cagekit.families import CirculantSpec, circulant, quartic_parity_graph
 from cagekit.graph import (
     UNREACHABLE,
     Graph,
@@ -34,6 +38,7 @@ from cagekit.graph import (
     disjoint_union,
     remove_vertices,
 )
+from cagekit.limits import Budget
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
@@ -45,6 +50,8 @@ from cagekit.named import (
     tutte_coxeter,
 )
 from cagekit.recipes import construct
+import scan_oracle
+from helpers import random_graph, shuffled
 
 
 def assert_regular(g: Graph, k: int, order: int, girth_floor: int) -> None:
@@ -133,6 +140,130 @@ def test_subdivide_merge_rejects_cubic():
         construct("subdivide_merge", petersen())
 
 
+# -- subdivision scans against the edge_distance oracle ------------------------
+
+_SMALL_REGULAR = os.path.join(os.path.dirname(__file__), "data", "small_regular.g6")
+_CUBIC_SCANS = ("iter_subdivide_two", "iter_subdivide_three")
+_UNBOUNDED = 10**9
+
+
+def _small_regular(k: int) -> list[Graph]:
+    """Every connected cubic graph of order 4 to 12 (k = 3) or quartic graph
+    of order 5 to 9 (k = 4), as `enumerate_regular` lists them. They are read
+    from a file because enumerating cubic order 12 takes about 10 s on a
+    2-core VM."""
+    return [g for g in graph6.iter_file(_SMALL_REGULAR) if g.regularity() == k]
+
+
+def _named_cubic() -> list[Graph]:
+    """Four cages, a relabeled copy of each, and a disconnected graph."""
+    named = [petersen(), heawood(), mcgee(), tutte_coxeter()]
+    rng = random.Random(10)
+    relabeled = [shuffled(g, rng) for g in named]
+    return named + relabeled + [disjoint_union(petersen(), petersen())]
+
+
+def _marked(scan, g: Graph, target: int | None):
+    """Each output of a full scan with the steps spent when it was yielded,
+    and the total spent. Scans with equal marks stop after the same prefix
+    under every allowance."""
+    budget = Budget(_UNBOUNDED)
+    marks = [(_UNBOUNDED - budget.remaining, out) for out in scan(g, target, budget)]
+    return marks, _UNBOUNDED - budget.remaining
+
+
+def _until_exhausted(scan, g: Graph, target: int, allowance: int):
+    got = []
+    try:
+        for out in scan(g, target, Budget(allowance)):
+            got.append(out)
+    except BudgetExhausted:
+        return got, True
+    return got, False
+
+
+@pytest.fixture
+def edges_only(monkeypatch):
+    """The cubic scans stand the edges they pick in for the graph they would
+    build, so the long sweeps below compare candidates without building them."""
+    for module in (constructions, scan_oracle):
+        for name in ("apply_subdivide_pair", "apply_subdivide_triple"):
+            monkeypatch.setattr(module, name, lambda g, *edges: edges)
+
+
+def test_small_regular_file_holds_every_such_graph():
+    cubic, quartic = _small_regular(3), _small_regular(4)
+    # the numbers of connected cubic and quartic graphs on so few vertices
+    assert Counter(g.order for g in cubic) == {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+    assert Counter(g.order for g in quartic) == {5: 1, 6: 1, 7: 2, 8: 6, 9: 16}
+    assert all(g.is_connected() for g in cubic + quartic)
+    assert len({certificate(g) for g in cubic + quartic}) == len(cubic) + len(quartic)
+    assert cubic[:27] == [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
+    assert quartic[:10] == [g for n in (5, 6, 7, 8) for g in enumerate_regular(EnumSpec(4, n))]
+
+
+def test_cubic_scans_match_the_edge_distance_oracle(edges_only):
+    for g in _small_regular(3) + _named_cubic():
+        for target in range(3, g.girth() + 1):
+            for name in _CUBIC_SCANS:
+                want = _marked(getattr(scan_oracle, name), g, target)
+                got = _marked(getattr(constructions, name), g, target)
+                assert got == want, (name, graph6.encode(g), target)
+
+
+def test_cubic_scans_build_the_oracle_graphs():
+    for g in _named_cubic():
+        for name in _CUBIC_SCANS:
+            want = _marked(getattr(scan_oracle, name), g, None)
+            assert _marked(getattr(constructions, name), g, None) == want, (name, graph6.encode(g))
+
+
+def test_merge_scan_matches_the_edge_distance_oracle():
+    for g in _small_regular(4) + [quartic_parity_graph(26), complete_bipartite(4, 4)]:
+        for target in range(3, g.girth() + 1):
+            want = _marked(scan_oracle.iter_subdivide_merge, g, target)
+            got = _marked(constructions.iter_subdivide_merge, g, target)
+            assert got == want, (graph6.encode(g), target)
+
+
+@pytest.mark.parametrize("name", _CUBIC_SCANS)
+def test_scans_stop_where_the_oracle_stops(edges_only, name):
+    # Every allowance from 1 to one past the full spend. The oracle spends one
+    # step per candidate, so under allowance A it yields the outputs marked at
+    # or below A, and raises if it needs more than A. The three-edge scan's
+    # small target girth is 5: below it no pair is too close, so no triples
+    # are skipped. On Tutte-Coxeter that scan runs at girth 8 alone, since
+    # below 8 the sweep takes minutes; the marks compared above pin those runs.
+    tc = shuffled(tutte_coxeter(), random.Random(4))
+    small = {"iter_subdivide_two": 3, "iter_subdivide_three": 5}[name]
+    cases = [(heawood(), small), (heawood(), 6), (tc, 8)]
+    if name == "iter_subdivide_two":
+        cases.append((tc, small))
+    for g, target in cases:
+        marks, total = _marked(getattr(scan_oracle, name), g, target)
+        for allowance in range(1, total + 2):
+            want = [out for spent, out in marks if spent <= allowance], total > allowance
+            got = _until_exhausted(getattr(constructions, name), g, target, allowance)
+            assert got == want, (target, allowance)
+
+
+def test_far_rows_agree_with_edge_distance():
+    rng = random.Random(21)
+    graphs = [random_graph(rng.randint(2, 24), rng.choice((0.08, 0.15, 0.3)), rng) for _ in range(30)]
+    graphs.append(disjoint_union(petersen(), cycle_graph(5)))
+    for g in graphs:
+        edges = g.edges()
+        for floor in range(9):
+            row = constructions._far_rows(g, floor)
+            for i, e1 in enumerate(edges):
+                for j, e2 in enumerate(edges):
+                    if i == j:
+                        continue
+                    d = g.edge_distance(e1, e2)
+                    far = d is UNREACHABLE or d >= floor
+                    assert (row(i) >> j & 1) == far, (graph6.encode(g), floor, e1, e2)
+
+
 def test_moore_tree_layers_sizes():
     layers = moore_tree_layers(petersen(), 0, 2)
     assert [len(layer) for layer in layers] == [1, 3, 6]
@@ -142,8 +273,7 @@ def test_moore_tree_layers_sizes():
 
 
 def _moore_layer_inputs():
-    graphs = [g for n in range(4, 13, 2) for g in enumerate_regular(EnumSpec(3, n))]
-    graphs += [g for n in range(5, 10) for g in enumerate_regular(EnumSpec(4, n))]
+    graphs = _small_regular(3) + _small_regular(4)
     return graphs + [petersen(), heawood(), mcgee(), tutte_coxeter()]
 
 

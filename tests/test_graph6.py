@@ -71,6 +71,15 @@ def test_malformed_inputs_fail_as_under_the_oracle():
                              for m in _mutants(rng, graph6.encode(g))]
     outcomes = set()
     for text in lines:
+        if not text.isascii():
+            # rejected at the first non-ASCII character; the oracle strips
+            # \x85, \xa0 and \u2003 as whitespace first
+            first = next(c for c in text if not c.isascii())
+            with pytest.raises(MalformedGraph6) as got:
+                graph6.decode(text)
+            assert str(got.value) == f"byte {ord(first)} out of graph6 range", repr(text)
+            outcomes.add("non-ASCII")
+            continue
         try:
             want = read_oracle.decode(text)
         except (MalformedGraph6, OrderTooLarge) as err:
@@ -83,7 +92,12 @@ def test_malformed_inputs_fail_as_under_the_oracle():
             outcomes.add("valid")
     # every check of the decoder is reached: range, order field, cap, length, padding
     assert {"valid", "MalformedGraph6empty", "MalformedGraph6byte", "MalformedGraph6truncated",
-            "OrderTooLargeorder", "MalformedGraph6expected", "MalformedGraph6nonzero"} <= outcomes
+            "OrderTooLargeorder", "MalformedGraph6expected", "MalformedGraph6nonzero",
+            "non-ASCII"} <= outcomes
+    # the oracle reads both as K4
+    for text, byte in (("\x85C~", 133), ("C~\xa0", 160)):
+        with pytest.raises(MalformedGraph6, match=f"^byte {byte} out of graph6 range$"):
+            graph6.decode(text)
 
 
 def test_round_trip_small_and_large_orders():
