@@ -16,6 +16,15 @@ every piece but the largest counts as moved (Hopcroft's rule). A search
 node starts from its parent's stable partition, and only the neighbors of
 the individualized vertex are signed in its first round.
 
+The root of the search is the stable partition of the vertices by their
+distance profiles: how many vertices lie at each distance from a vertex,
+and how many it cannot reach, from one BFS per vertex. Isomorphisms map
+profiles onto profiles, so the tree of an isomorphic copy is the same tree
+relabeled; automorphisms preserve them, so the leaves still reveal the
+whole group. Most graphs met while growing spectra have no symmetry, and
+their profiles split at the root what refinement alone cannot split in a
+regular graph, where each root vertex would cost a refinement of its own.
+
 The search individualizes each vertex of the first non-singleton class in
 increasing label order, and the canonical labeling is the leaf with the
 least tuple of adjacency bit rows. A leaf equal to the first or best leaf
@@ -23,15 +32,17 @@ gives an automorphism; the search backs up to where the two paths part, and
 skips every candidate in the orbit of one already tried under the group
 generated by the automorphisms found that fix the node's prefix. This is
 the design of McKay & Piperno, "Practical graph isomorphism II" (2014), and
-of bliss (Junttila & Kaski, 2007), without node invariants, so the least
-leaf, and with it the certificate, is that of the full search tree.
+of bliss (Junttila & Kaski, 2007), with the distance profile as the one
+vertex invariant, applied at the root; no invariant prunes a node below it,
+so the least leaf, and with it the certificate, is that of the full tree
+under that root.
 The automorphisms found are kept on the graph; they generate its
 automorphism group, which the rewiring searches use to skip isomorphic
 deletions.
 """
 from __future__ import annotations
 
-from .graph import Graph, relabeled
+from .graph import Graph, bfs_distances, relabeled
 from . import graph6
 
 
@@ -129,6 +140,19 @@ def refine(adj: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
     return [rank[s] for s in cell_of]
 
 
+def _distance_profiles(adj) -> list[tuple[int, ...]]:
+    """For each vertex v, how many vertices lie at distance 0, 1, ..., n-1
+    from v, then how many v cannot reach. Isomorphisms preserve it."""
+    n = len(adj)
+    profiles = []
+    for v in range(n):
+        count = [0] * (n + 1)
+        for d in bfs_distances(adj, v):
+            count[d] += 1  # d = -1 counts in the last slot
+        profiles.append(tuple(count))
+    return profiles
+
+
 def _canonical_perm(g: Graph) -> list[int]:
     """Permutation old->new giving the canonical labeling; stores the
     automorphisms the search finds in `g._autos`."""
@@ -137,7 +161,7 @@ def _canonical_perm(g: Graph) -> list[int]:
         g._autos = []
         return []
     adj = g.adjacency
-    cell_of, order, size = _stable_partition(adj, [0] * n)
+    cell_of, order, size = _stable_partition(adj, _distance_profiles(adj))
 
     first = best = None  # (key, vertex at each position, position of each vertex, path)
     autos: list[list[int]] = []

@@ -1,10 +1,15 @@
 """Reference canonizer for tests: the plain form of the library's search.
 
 It refines every vertex from scratch at every search node and prunes with at
-most 64 automorphisms, one step at a time. The library's certificates and
+most 64 automorphisms, one step at a time. The search is rooted at a given
+coloring: the certificate roots it at the distance profiles, found with a
+BFS of its own, as the library does; all-zero colors give the certificates
+of the library before it used profiles. The library's certificates and
 refinements must equal these exactly.
 """
 from __future__ import annotations
+
+from collections import deque
 
 from cagekit import graph6
 from cagekit.graph import Graph, relabeled
@@ -46,13 +51,36 @@ def _individualize(adj, colors, v):
     return refine(adj, split)
 
 
-def canonical_perm(g: Graph) -> list[int]:
-    """Permutation old->new giving the canonical labeling."""
+def distance_profiles(g: Graph) -> list[tuple[int, ...]]:
+    """Per vertex: the number of vertices at distance 0, 1, ..., n-1, then
+    the number unreachable."""
+    n = g.order
+    profiles = []
+    for v in range(n):
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        count = [0] * (n + 1)
+        for d in dist.values():
+            count[d] += 1
+        count[n] = n - len(dist)
+        profiles.append(tuple(count))
+    return profiles
+
+
+def canonical_perm(g: Graph, colors=None) -> list[int]:
+    """Permutation old->new giving the least leaf of the search rooted at
+    `colors` (all zero by default)."""
     n = g.order
     if n == 0:
         return []
     adj = g.adjacency
-    base = refine(adj, [0] * n)
+    base = refine(adj, [0] * n if colors is None else colors)
 
     best: dict = {"key": None, "pos": None}
     autos: list[tuple[list[int], list[int]]] = []
@@ -107,6 +135,9 @@ def canonical_perm(g: Graph) -> list[int]:
     return best["pos"]
 
 
-def certificate(g: Graph) -> str:
-    """graph6 line of the canonical form."""
-    return graph6.encode(relabeled(g, canonical_perm(g)))
+def certificate(g: Graph, colors=None) -> str:
+    """graph6 line of the canonical form from the root `colors`, by default
+    the distance profiles."""
+    if colors is None:
+        colors = distance_profiles(g)
+    return graph6.encode(relabeled(g, canonical_perm(g, colors)))

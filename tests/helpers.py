@@ -128,3 +128,60 @@ def cartesian_product(a: Graph, b: Graph) -> Graph:
     edges = [(u * m + j, v * m + j) for u, v in a.edges() for j in range(m)]
     edges += [(i * m + u, i * m + v) for i in range(a.order) for u, v in b.edges()]
     return Graph.from_edges(a.order * m, edges)
+
+
+def brute_automorphism_count(g: Graph) -> int:
+    """Number of automorphisms, by extending a partial map one vertex at a
+    time (in breadth-first order) and checking adjacency to every vertex
+    already mapped."""
+    n = g.order
+    adj = [set(row) for row in g.adjacency]
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in range(n):
+        if root not in seen:
+            seen.add(root)
+            order.append(root)
+            i = len(order) - 1
+            while i < len(order):
+                for w in sorted(adj[order[i]]):
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+                i += 1
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(i: int) -> int:
+        if i == n:
+            return 1
+        v = order[i]
+        total = 0
+        for x in range(n):
+            if used[x] or len(adj[x]) != len(adj[v]):
+                continue
+            if all((image[u] in adj[x]) == (u in adj[v]) for u in order[:i]):
+                image[v], used[x] = x, True
+                total += extend(i + 1)
+                image[v], used[x] = -1, False
+        return total
+
+    return extend(0)
+
+
+def group_order(n: int, generators) -> int:
+    """Order of the permutation group on range(n) that the generators span,
+    by listing its elements."""
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gamma in generators:
+                q = tuple([gamma[p[v]] for v in range(n)])
+                if q not in elements:
+                    elements.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(elements)

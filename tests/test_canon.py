@@ -1,6 +1,7 @@
 """Certificates and isomorphism against exhaustive permutation search."""
 from __future__ import annotations
 
+import os
 import random
 import time
 from itertools import combinations
@@ -8,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import canon_oracle
-from cagekit import canon
+from cagekit import canon, graph6
 from cagekit.canon import (
     automorphism_generators,
     canonical_form,
@@ -18,7 +19,7 @@ from cagekit.canon import (
 )
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.families import CirculantSpec, circulant
-from cagekit.graph import Graph, disjoint_union
+from cagekit.graph import Graph, disjoint_union, relabeled
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
@@ -31,7 +32,17 @@ from cagekit.named import (
     tutte_coxeter,
 )
 
-from helpers import brute_isomorphic, cartesian_product, hypercube, random_graph, shuffled
+from helpers import (
+    brute_automorphism_count,
+    brute_isomorphic,
+    cartesian_product,
+    group_order,
+    hypercube,
+    random_graph,
+    shuffled,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _corpus():
@@ -186,3 +197,42 @@ def test_refine_matches_the_old_refinement():
             colors = [2 * c for c in base]
             colors[v] -= 1
             assert refine(adj, colors) == canon_oracle.refine(adj, colors)
+
+
+def test_distance_profiles_are_equal_under_relabeling():
+    rng = random.Random(13)
+    graphs = [petersen(), mcgee(), disjoint_union(heawood(), cycle_graph(5))] + _corpus()
+    for g in graphs:
+        profiles = canon._distance_profiles(g.adjacency)
+        assert profiles == canon_oracle.distance_profiles(g)
+        for _ in range(3):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            moved = canon._distance_profiles(relabeled(g, perm).adjacency)
+            assert [moved[perm[v]] for v in range(g.order)] == profiles
+
+
+def test_generators_span_the_whole_automorphism_group():
+    rng = random.Random(17)
+    graphs = list(graph6.iter_file(os.path.join(DATA, "small_regular.g6")))
+    graphs += [shuffled(make(), rng) for make in (petersen, heawood, mcgee) for _ in range(2)]
+    for g in graphs:
+        edges = set(g.edges())
+        gens = automorphism_generators(g)
+        for gamma in gens:
+            assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in edges} == edges
+        assert group_order(g.order, gens) == brute_automorphism_count(g), graph6.encode(g)
+
+
+def test_certificate_map_from_the_all_zero_root():
+    """Each certificate in the goldens before the search was rooted at
+    distance profiles, beside its certificate now: certifying the old
+    graph gives the new string, and the oracle's search from all-zero
+    colors on the new graph gives the old one."""
+    with open(os.path.join(DATA, "golden", "cert_v1_to_v2.tsv"), encoding="ascii") as fh:
+        pairs = [line.split("\t") for line in fh.read().splitlines()]
+    assert len(pairs) == len({old for old, _ in pairs}) == 114
+    for old, new in pairs:
+        assert certificate(graph6.decode(old)) == new
+        h = graph6.decode(new)
+        assert canon_oracle.certificate(h, [0] * h.order) == old

@@ -1,6 +1,7 @@
 """Edge amalgamation, subdivisions, Moore-tree doubling, matchings, covers."""
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 from collections import Counter
@@ -50,6 +51,7 @@ from cagekit.named import (
     tutte_coxeter,
 )
 from cagekit.recipes import construct
+import canon_oracle
 import scan_oracle
 from helpers import random_graph, shuffled
 
@@ -200,6 +202,17 @@ def test_small_regular_file_holds_every_such_graph():
     assert len({certificate(g) for g in cubic + quartic}) == len(cubic) + len(quartic)
     assert cubic[:27] == [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
     assert quartic[:10] == [g for n in (5, 6, 7, 8) for g in enumerate_regular(EnumSpec(4, n))]
+    # The same 112 cubic and 26 quartic graphs as when certificates came from
+    # the all-zero root, in a new order: sorted within each order by the
+    # oracle's certificates from that root, the lines are the earlier file.
+    assert (len(cubic), len(quartic)) == (112, 26)
+    graphs = cubic + quartic
+    assert {certificate(g) for g in graphs} == {canon_oracle.certificate(g) for g in graphs}
+    before = sorted(graphs, key=lambda g: (
+        g.regularity(), g.order, canon_oracle.certificate(g, [0] * g.order)))
+    text = "".join(graph6.encode(g) + "\n" for g in before)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "247c752be49197c1ad34f06f467d337ccfbce072f5653c4b6a672a4b02a5e3de")
 
 
 def test_cubic_scans_match_the_edge_distance_oracle(edges_only):
