@@ -8,13 +8,13 @@ import sys
 from . import graph6
 from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_excess
 from .canon import certificate
-from .constructions import amalgamate
+from .constructions import AMALGAMATE_MODES
 from .enumeration import EnumSpec, enumerate_regular
 from .errors import CagekitError, NotAnEdge
 from .families import CirculantSpec, GdgpSpec, circulant, gdgp, quartic_parity_graph
 from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
-from .recipes import OPERATIONS, Recipe, construct, write_recipes
+from .recipes import OPERATIONS, Recipe, apply_operation, construct, write_recipes
 from .spectrum import (
     DEFAULT_CONSTRUCTIONS,
     SearchConfig,
@@ -88,7 +88,7 @@ def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
             raise NotAnEdge("amalgamation needs an edge in each input graph")
         e1, e2 = args.e1 or g1.edges()[0], args.e2 or g2.edges()[0]
         params = {"e1": list(e1), "e2": list(e2), "mode": args.mode}
-        h = amalgamate(g1, g2, e1, e2, args.mode)
+        h = apply_operation(op.name, (g1, g2), params)
         return [(Recipe(op.name, (certificate(g1), certificate(g2)), params, certificate(h)), h)]
     kw = {name: getattr(args, name) for name in op.options}
     out: list[tuple[Recipe, Graph]] = []
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=None)
     p.add_argument("--e1", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
     p.add_argument("--e2", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
-    p.add_argument("--mode", choices=("cross", "parallel"), default="cross")
+    p.add_argument("--mode", choices=AMALGAMATE_MODES, default="cross")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_construct)
 

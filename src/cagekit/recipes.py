@@ -27,12 +27,7 @@ from .constructions import (
 from .errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
 from .graph import ACYCLIC, Graph, edit, remove_vertices
 from .limits import Budget
-from .rewire import (
-    biggs_excision_size,
-    iter_delete_edges_add_vertices,
-    iter_delete_vertices,
-    iter_remove_biggs_tree,
-)
+from .rewire import iter_delete_edges_add_vertices, iter_delete_vertices, iter_remove_biggs_tree
 
 
 @dataclass(frozen=True)
@@ -75,10 +70,10 @@ class Operation:
       the typed readers of `_Params`.
     - `grow(parent, target_girth, budget, **kw)` yields (params, graph); a
       binary operation's parent is the pair.
-    - `steps(n, k, g)` yields the engine's steps toward order n, each a
-      (parent order, source, grow keywords). The source is "reps",
-      "reps+pool" or "pool"; a parent order of None stands for every pool
-      order, and a source of None for no parent at all.
+    - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
+      order n, each a (parent order, grow keywords). The engine grows from
+      each (k,g)-graph it stores of that order, or from no parent when the
+      order is None.
     - `degrees` holds the k the engine tries the operation for.
     - `options` names the grow keywords the CLI fills from its flags.
 
@@ -108,13 +103,14 @@ def _grow_amalgams(pair, target_girth, budget, tries):
 
 def _adds(count: int):
     """Steps of an operation that adds count vertices to any stored parent."""
-    return lambda n, k, g: [(n - count, "reps+pool", {})]
+    return lambda n, k, g: [(n - count, {})]
 
 
 def _moore_steps(n, k, g):
-    if n % 2:
+    # Doubling needs girth 4 or more.
+    if n % 2 or g < 4:
         return []
-    return [(n // 2 + moore_tree_size(k, r), "reps", {"radius": r}) for r in range(g // 4 + 1)]
+    return [(n // 2 + moore_tree_size(k, r), {"radius": r}) for r in range(g // 4 + 1)]
 
 
 def _target_girth(parent: Graph, target_girth: int | None) -> int:
@@ -126,12 +122,6 @@ def _target_girth(parent: Graph, target_girth: int | None) -> int:
 
 def _grow_double_cover(parent, target_girth, budget):
     yield {}, canonical_double_cover(parent)
-
-
-def _grow_biggs(parent, target_girth, budget, order=None):
-    """Tree excisions of parent; given an order, only if they land on it."""
-    if order is None or parent.order - biggs_excision_size(parent.girth()) == order:
-        yield from iter_remove_biggs_tree(parent, budget)
 
 
 def _grow_matching(parent, target_girth, budget):
@@ -194,7 +184,8 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         "canonical_double_cover", 1,
         lambda ps, p: canonical_double_cover(ps[0]),
         grow=_grow_double_cover,
-        steps=lambda n, k, g: [] if n % 2 else [(n // 2, "reps", {})],
+        # A double cover is bipartite, so its girth is even.
+        steps=lambda n, k, g: [] if n % 2 or g % 2 else [(n // 2, {})],
         degrees=ANY_DEGREE,
     ),
     Operation(
@@ -212,9 +203,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "remove_biggs_tree", 1,
         _apply_remove_vertices("tree"),
-        grow=_grow_biggs,
-        steps=lambda n, k, g: [(None, "pool", {"order": n})],
-        degrees=(3,),
+        grow=lambda parent, t, budget: iter_remove_biggs_tree(parent, budget),
     ),
     Operation(
         "delete_vertices", 1,
@@ -222,7 +211,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         grow=lambda parent, t, budget, vertices: iter_delete_vertices(
             parent, vertices, _target_girth(parent, t), budget
         ),
-        steps=lambda n, k, g: [(n + m, "reps+pool", {"vertices": m}) for m in (1, 2, 3, 4)],
+        steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
         degrees=ANY_DEGREE,
         options=("vertices",),
     ),
@@ -233,7 +222,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             parent, edges, vertices, _target_girth(parent, t), budget
         ),
         steps=lambda n, k, g: [
-            (n - v, "reps+pool", {"edges": e, "vertices": v})
+            (n - v, {"edges": e, "vertices": v})
             for e, v in [(3, 2) if k == 3 else (2, 1)]
         ],
         degrees=(3, 4),
@@ -250,14 +239,14 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             families.CirculantSpec(p.integer("n"), p.integers("S"))
         ),
         grow=_grow_circulant,
-        steps=lambda n, k, g: [(None, None, {"n": n})] if g == 4 and n >= 8 else [],
+        steps=lambda n, k, g: [(None, {"n": n})] if g == 4 and n >= 8 else [],
         degrees=(4,),
     ),
     Operation(
         "quartic_parity_graph", 0,
         lambda ps, p: families.quartic_parity_graph(p.integer("n")),
         grow=_grow_parity,
-        steps=lambda n, k, g: [(None, None, {"n": n})] if g == 6 and n >= 26 and n % 2 == 0 else [],
+        steps=lambda n, k, g: [(None, {"n": n})] if g == 6 and n >= 26 and n % 2 == 0 else [],
         degrees=(4,),
     ),
     Operation(
@@ -345,19 +334,27 @@ class _Params(dict):
         return [tuple(e) for e in values]
 
 
+def apply_operation(
+    name: str, parents: Sequence, params: dict, resolve: Callable = lambda parent: parent
+) -> Graph:
+    """Build with table entry `name` from its parents and recipe params;
+    `resolve` maps each parent to its graph once the name and the parent
+    count have been checked."""
+    op = OPERATIONS.get(name)
+    if op is None:
+        raise UnknownOperation(f"no replay rule for {name!r}")
+    if len(parents) != op.arity:
+        raise ReplayMismatch(
+            f"{op.name} takes {op.arity} parent(s), the recipe names {len(parents)}"
+        )
+    return op.apply([resolve(parent) for parent in parents], _Params(op.name, params))
+
+
 def replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:
     """Re-run a recorded construction; resolve maps certificates to graphs."""
     if recipe.operation == "seed":
         return resolve(recipe.output_cert)
-    op = OPERATIONS.get(recipe.operation)
-    if op is None:
-        raise UnknownOperation(f"no replay rule for {recipe.operation!r}")
-    if len(recipe.parents) != op.arity:
-        raise ReplayMismatch(
-            f"{op.name} takes {op.arity} parent(s), the recipe names {len(recipe.parents)}"
-        )
-    parents = [resolve(cert) for cert in recipe.parents]
-    return op.apply(parents, _Params(op.name, recipe.params))
+    return apply_operation(recipe.operation, recipe.parents, recipe.params, resolve)
 
 
 def verified_replay(recipe: Recipe, resolve: Callable[[str], Graph]) -> Graph:

@@ -19,7 +19,7 @@ from .errors import (
     SpecViolation,
     UnknownOperation,
 )
-from .graph import ACYCLIC, Graph, check_kg
+from .graph import Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
 from .recipes import OPERATIONS, Operation, Recipe, replay
 
@@ -45,8 +45,7 @@ DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degr
 
 # Search policy. The shipped reports depend on these values.
 _ROUNDS = 3  # construction passes after the seed generators
-_REPS_PER_ORDER = 4  # exact-girth graphs kept per order as parents
-_POOL_CAP = 64  # higher-girth graphs kept per order as parents
+_REPS_PER_ORDER = 4  # (k,g)-graphs kept per order as parents
 _SCAN_CAP = 200  # outputs read from one grow call
 _AMALGAM_TRIES = 15  # edges of each graph an amalgam pair joins at
 
@@ -130,12 +129,10 @@ class _Engine:
         self.horizon = horizon
         self.citations = citations
         self.budget = Budget(config.budget)
-        self.pool_limit = horizon + 16
         # Every stored graph by certificate, with the recipe that made it.
         self.records: dict[str, tuple[Graph, Recipe]] = {}
         # Certificates by order; reps[n][0] is the witness for order n.
         self.reps: dict[int, list[str]] = {}
-        self.pool: dict[int, list[str]] = {}
         self.state: dict[int, OrderState] = {}
         self.ops = {
             arity: [
@@ -171,39 +168,25 @@ class _Engine:
             self.commit(seed, "seed", (), {})
 
     def commit(self, graph: Graph, op: str, parents: tuple[str, ...], params: dict) -> bool:
-        """Route a candidate: exact girth becomes a witness or a spare
-        parent, higher girth joins the side pool, anything else is dropped.
-        True when an order moves to Realized."""
-        if graph.regularity() != self.k or not graph.is_connected():
-            return False
-        gg = graph.girth()
-        if gg is ACYCLIC or gg < self.g:
-            return False
+        """Store a (k,g)-graph within the horizon under its certificate and
+        drop any other candidate. True when an order moves to Realized."""
         n = graph.order
-        exact = gg == self.g
-        if exact:
-            if n > self.horizon:
-                return False
-            st = self.state[n]
-            if st in _EXCLUDED:
-                raise SpecViolation(
-                    f"constructed a ({self.k},{self.g})-graph of order {n}, "
-                    f"but that order is marked {st.value}"
-                )
-            buckets, cap = self.reps, _REPS_PER_ORDER
-        else:
-            # A full pool takes nothing, so skip the certificate.
-            if n > self.pool_limit or len(self.pool.get(n, ())) >= _POOL_CAP:
-                return False
-            buckets, cap = self.pool, _POOL_CAP
+        if n > self.horizon or check_kg(graph, self.k, self.g) is not None:
+            return False
+        st = self.state[n]
+        if st in _EXCLUDED:
+            raise SpecViolation(
+                f"constructed a ({self.k},{self.g})-graph of order {n}, "
+                f"but that order is marked {st.value}"
+            )
         cert = certificate(graph)
         if cert in self.records:
             return False
         self.records[cert] = (graph, Recipe(op, parents, params, cert))
-        bucket = buckets.setdefault(n, [])
-        if len(bucket) < cap:
+        bucket = self.reps.setdefault(n, [])
+        if len(bucket) < _REPS_PER_ORDER:
             bucket.append(cert)
-        if not exact or self.state[n] is OrderState.REALIZED:
+        if st is OrderState.REALIZED:
             return False
         self.state[n] = OrderState.REALIZED
         return True
@@ -238,16 +221,6 @@ class _Engine:
         grown = op.grow(pair, self.g, None, tries=_AMALGAM_TRIES)
         return any(self.commit(out, op.name, (ca, cb), params) for params, out in grown)
 
-    def _parents(self, order: int | None, source: str | None) -> list[str | None]:
-        if source is None:
-            return [None]
-        if order is None:
-            return [cert for _, certs in sorted(self.pool.items()) for cert in certs]
-        certs = list(self.reps.get(order, [])) if source != "pool" else []
-        if source != "reps":
-            certs += self.pool.get(order, [])
-        return certs
-
     def _scan(self, op: Operation, cert: str | None, kw: dict) -> bool:
         parent, parents = (None, ()) if cert is None else (self.records[cert][0], (cert,))
         try:
@@ -262,8 +235,8 @@ class _Engine:
         return False
 
     def _attempt(self, n: int, op: Operation) -> bool:
-        for order, source, kw in op.steps(n, self.k, self.g):
-            for cert in self._parents(order, source):
+        for order, kw in op.steps(n, self.k, self.g):
+            for cert in [None] if order is None else list(self.reps.get(order, ())):
                 if self._scan(op, cert, kw):
                     return True
         return False

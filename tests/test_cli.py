@@ -1,11 +1,12 @@
 """Command-line subcommands: exit codes, file formats, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
 
-from cagekit import graph6
+from cagekit import graph6, recipes
 from cagekit.canon import certificate
 from cagekit.cli import CONSTRUCT_NAMES, main
 from cagekit.constructions import amalgamate
@@ -131,6 +132,24 @@ def test_construct_amalgamate(tmp_path):
     produced = graph6.read_file(out)
     assert [(g.order, g.girth()) for g in produced] == [(20, 5)]
     assert len(read_recipes(out + ".recipes")) == 1
+
+
+def test_construct_amalgamate_builds_through_the_table(tmp_path, monkeypatch):
+    op = recipes.OPERATIONS["amalgamate"]
+    modes = []
+
+    def apply(parents, params):
+        modes.append(params["mode"])
+        return op.apply(parents, params)
+
+    monkeypatch.setitem(recipes.OPERATIONS, "amalgamate", dataclasses.replace(op, apply=apply))
+    src = write_g6(tmp_path / "in.g6", [petersen(), heawood()])
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", "amalgamate", "--in", src, "--out", out, "--mode", "parallel"]) == 0
+    assert modes == ["parallel"]
+    [recipe] = read_recipes(out + ".recipes")
+    resolve = {certificate(petersen()): petersen(), certificate(heawood()): heawood()}.__getitem__
+    assert graph6.read_file(out) == [verified_replay(recipe, resolve)]
 
 
 def test_construct_moore_double_skips_inadmissible_roots(tmp_path, capsys):

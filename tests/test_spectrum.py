@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 
 import pytest
 
@@ -34,6 +35,7 @@ from cagekit.spectrum import (
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def evens(lo: int, hi: int) -> list[int]:
@@ -179,6 +181,44 @@ def test_unknown_construction_rejected():
         SearchConfig(constructions=("subdivid_two",))
     with pytest.raises(UnknownOperation, match="circulant44"):
         SearchConfig(constructions=("circulant44",))
+    # excision needs a parent of girth g+1, which the engine never stores
+    with pytest.raises(UnknownOperation, match="remove_biggs_tree"):
+        SearchConfig(constructions=("remove_biggs_tree",))
+
+
+def test_engine_certifies_only_kg_graphs(monkeypatch):
+    seen = []
+
+    def checked(graph):
+        assert check_kg(graph, 3, 4) is None
+        seen.append(graph.order)
+        return certificate(graph)
+
+    monkeypatch.setattr(spectrum, "certificate", checked)
+    report = spectrum_search(3, 4, [complete_bipartite(3, 3)], 40)
+    assert set(seen) == set(report.realized_orders())
+
+
+def test_readme_lists_the_default_constructions_in_order():
+    with open(README, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    listed = text.split("`--constructions` takes", 1)[1].split("(all of them by default)", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == spectrum.DEFAULT_CONSTRUCTIONS
+
+
+@pytest.mark.parametrize("g", [3, 5, 7])
+def test_no_double_cover_step_for_odd_girth(g):
+    # a double cover is bipartite, so its girth is even and never g
+    steps = recipes.OPERATIONS["canonical_double_cover"].steps
+    assert list(steps(20, 3, g)) == []
+    assert list(steps(20, 3, g + 1)) == [(10, {})]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_no_moore_double_step_below_girth_four(k):
+    steps = recipes.OPERATIONS["moore_tree_double"].steps
+    assert list(steps(40, k, 3)) == []
+    assert list(steps(40, k, 4)) == [(21, {"radius": 0}), (21 + k, {"radius": 1})]
 
 
 def test_construction_bug_propagates(monkeypatch):
