@@ -18,7 +18,8 @@ the individualized vertex are signed in its first round.
 
 The root of the search is the stable partition of the vertices by their
 distance profiles: how many vertices lie at each distance from a vertex,
-and how many it cannot reach, from one BFS per vertex. Isomorphisms map
+and how many it cannot reach, from one pass that grows the distance balls
+of all vertices together, level by level, as bit masks. Isomorphisms map
 profiles onto profiles, so the tree of an isomorphic copy is the same tree
 relabeled; automorphisms preserve them, so the leaves still reveal the
 whole group. Most graphs met while growing spectra have no symmetry, and
@@ -42,7 +43,7 @@ deletions.
 """
 from __future__ import annotations
 
-from .graph import Graph, bfs_distances, relabeled
+from .graph import Graph, relabeled
 from . import graph6
 
 
@@ -142,15 +143,35 @@ def refine(adj: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
 
 def _distance_profiles(adj) -> list[tuple[int, ...]]:
     """For each vertex v, how many vertices lie at distance 0, 1, ..., n-1
-    from v, then how many v cannot reach. Isomorphisms preserve it."""
+    from v, then how many v cannot reach. Isomorphisms preserve it.
+
+    All distance balls grow at once, as bit masks: the ball of radius d
+    about v is v's ball of radius d-1 joined with its neighbors' balls of
+    radius d-1. Every new ball is computed before any is stored. A vertex
+    whose ball stops growing holds its whole component and drops out.
+    """
     n = len(adj)
-    profiles = []
-    for v in range(n):
-        count = [0] * (n + 1)
-        for d in bfs_distances(adj, v):
-            count[d] += 1  # d = -1 counts in the last slot
-        profiles.append(tuple(count))
-    return profiles
+    ball = [1 << v for v in range(n)]
+    size = [1] * n
+    counts = [[1] for _ in range(n)]
+    live = range(n)
+    while live:
+        grown = []
+        for v in live:
+            b = ball[v]
+            for w in adj[v]:
+                b |= ball[w]
+            grown.append(b)
+        still = []
+        for v, b in zip(live, grown):
+            s = b.bit_count()
+            if s > size[v]:
+                ball[v] = b
+                counts[v].append(s - size[v])
+                size[v] = s
+                still.append(v)
+        live = still
+    return [tuple(c) + (0,) * (n - len(c)) + (n - s,) for c, s in zip(counts, size)]
 
 
 def _canonical_perm(g: Graph) -> list[int]:

@@ -12,6 +12,8 @@ class Budget:
     __slots__ = ("remaining",)
 
     def __init__(self, allowance: int = DEFAULT_BUDGET):
+        if type(allowance) is not int:
+            raise MalformedInput(f"budget allowance must be an int, got {allowance!r}")
         if allowance <= 0:
             raise MalformedInput(f"budget allowance must be positive, got {allowance}")
         self.remaining = allowance
@@ -23,9 +25,10 @@ class Budget:
 
 
 def coerce_budget(budget: Budget | int | None) -> Budget:
-    """Accept a Budget, an int allowance, or None (fresh default)."""
+    """Accept a Budget, an int allowance, or None (fresh default); anything
+    else is a MalformedInput."""
     if budget is None:
         return Budget()
-    if isinstance(budget, int):
-        return Budget(budget)
-    return budget
+    if isinstance(budget, Budget):
+        return budget
+    return Budget(budget)

@@ -200,8 +200,26 @@ def test_refine_matches_the_old_refinement():
 
 
 def test_distance_profiles_are_equal_under_relabeling():
+    """The library's profiles equal the oracle's BFS counts and move with a
+    relabeling, also with balls wider than 64 and 128 bits, diameters above
+    30 with unequal eccentricities, and components of unequal diameter
+    beside isolated vertices, whose balls stop growing at different levels."""
     rng = random.Random(13)
+    tc = tutte_coxeter()
     graphs = [petersen(), mcgee(), disjoint_union(heawood(), cycle_graph(5))] + _corpus()
+    graphs += [
+        random_graph(90, 0.04, rng),
+        random_graph(150, 0.02, rng),
+        path_graph(100),
+        cycle_graph(101),
+        disjoint_union(
+            disjoint_union(path_graph(40), cycle_graph(7)),
+            disjoint_union(petersen(), Graph.from_edges(3, [])),
+        ),
+        disjoint_union(tc, tc),
+        hypercube(6),
+        disjoint_union(hypercube(7), cycle_graph(35)),
+    ]
     for g in graphs:
         profiles = canon._distance_profiles(g.adjacency)
         assert profiles == canon_oracle.distance_profiles(g)
