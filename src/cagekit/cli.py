@@ -10,7 +10,7 @@ from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_exc
 from .canon import certificate
 from .constructions import AMALGAMATE_MODES
 from .enumeration import EnumSpec, enumerate_regular
-from .errors import CagekitError, NotAnEdge
+from .errors import CagekitError, NotAnEdge, ParameterOutOfRange
 from .families import CirculantSpec, GdgpSpec, circulant, gdgp, quartic_parity_graph
 from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
@@ -28,13 +28,11 @@ CONSTRUCT_NAMES = tuple(name for name, op in OPERATIONS.items() if op.arity >= 1
 
 
 def _emit(graphs, path):
-    lines = [graph6.encode(g) for g in graphs]
     if path is None:
-        for line in lines:
-            print(line)
+        for g in graphs:
+            print(graph6.encode(g))
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(line + "\n" for line in lines)
+        graph6.write_file(path, graphs)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -81,6 +79,8 @@ def cmd_girth(args) -> int:
 def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
     op = OPERATIONS[args.name]
     if op.arity == 2:
+        if args.target_girth is not None:
+            raise ParameterOutOfRange(f"{op.name} takes no option target_girth")
         if len(graphs) < 2:
             raise CagekitError("amalgamation needs two input graphs")
         g1, g2 = graphs[0], graphs[1]
@@ -90,11 +90,11 @@ def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
         params = {"e1": list(e1), "e2": list(e2), "mode": args.mode}
         h = apply_operation(op.name, (g1, g2), params)
         return [(Recipe(op.name, (certificate(g1), certificate(g2)), params, certificate(h)), h)]
-    kw = {name: getattr(args, name) for name in op.options}
+    options = {name: getattr(args, name) for name in ("target_girth", *op.options)}
     out: list[tuple[Recipe, Graph]] = []
     for parent in graphs:
         cert = certificate(parent)
-        for params, h in construct(op.name, parent, args.target_girth, budget, **kw):
+        for params, h in construct(op.name, parent, budget=budget, **options):
             out.append((Recipe(op.name, (cert,), params, certificate(h)), h))
     return out
 

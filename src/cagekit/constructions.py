@@ -235,14 +235,14 @@ def _join_copies(h: Graph, leaves: list[int], matching: list[int]) -> Graph:
 
 def find_double_matching(
     h: Graph, leaves: list[int], girth_floor: int, budget: Budget
-) -> list[int] | None:
+) -> tuple[list[int], Graph] | None:
     """Bijection between leaf sets of two copies of h keeping girth high.
 
-    Returns pi as a list (copy-one leaf index i pairs with copy-two leaf
-    index pi[i]) or None. A new cycle through two join edges has length
-    d(a,b) + d(a',b') + 2, which is required to reach girth_floor; full
-    assignments are re-checked on the assembled graph. The identity
-    bijection is explored first.
+    Returns (pi, joined) or None: pi as a list (copy-one leaf index i pairs
+    with copy-two leaf index pi[i]) and the two copies joined by it. A new
+    cycle through two join edges has length d(a,b) + d(a',b') + 2, which is
+    required to reach girth_floor; full assignments are re-checked on the
+    assembled graph. The identity bijection is explored first.
     """
     t = len(leaves)
     dist = [[0] * t for _ in range(t)]
@@ -254,12 +254,12 @@ def find_double_matching(
     perm = [-1] * t
     used = [False] * t
 
-    def search(i: int) -> list[int] | None:
+    def search(i: int) -> tuple[list[int], Graph] | None:
         if i == t:
             built = _join_copies(h, leaves, perm)
             bg = built.girth()
             if bg is not ACYCLIC and bg >= girth_floor:
-                return list(perm)
+                return list(perm), built
             return None
         candidates = [i] + [c for c in range(t) if c != i]
         for c in candidates:
@@ -302,28 +302,6 @@ def apply_moore_double(g: Graph, r: int, root: int, matching: list[int]) -> Grap
     return _join_copies(h, leaves, matching)
 
 
-def moore_double_matching(
-    g: Graph, r: int, root: int, budget: Budget | int | None = None
-) -> list[int]:
-    """Leaf bijection for moore_tree_double, after validating the input."""
-    gg = g.girth()
-    if gg is ACYCLIC or gg < 4:
-        raise ParameterOutOfRange("Moore-tree doubling needs girth at least 4")
-    if r < 0 or r > gg // 4:
-        raise RadiusTooLarge(f"radius {r} outside 0..{gg // 4} for girth {gg}")
-    k = g.regularity()
-    if k is None:
-        raise DegreeMismatch("Moore-tree doubling needs a regular graph")
-    budget = coerce_budget(budget)
-    h, leaves = _doubling_parts(g, r, root)
-    perm = find_double_matching(h, leaves, gg, budget)
-    if perm is None:
-        raise NoCompletion(
-            f"no leaf bijection keeps girth {gg} (root {root}, radius {r})"
-        )
-    return perm
-
-
 def iter_moore_double(
     g: Graph, r: int, budget: Budget | int | None = None, root: int | None = None
 ) -> Iterator[Emitted]:
@@ -337,17 +315,28 @@ def iter_moore_double(
     A root whose Moore tree is not induced, or whose leaves admit no
     bijection, is skipped; its error is raised only when no root yields.
     """
+    gg = g.girth()
+    if gg is ACYCLIC or gg < 4:
+        raise ParameterOutOfRange("Moore-tree doubling needs girth at least 4")
+    if r < 0 or r > gg // 4:
+        raise RadiusTooLarge(f"radius {r} outside 0..{gg // 4} for girth {gg}")
+    if g.regularity() is None:
+        raise DegreeMismatch("Moore-tree doubling needs a regular graph")
     budget = coerce_budget(budget)
     failure: TreeNotInduced | NoCompletion | None = None
     yielded = False
     for v in range(g.order) if root is None else (root,):
         try:
-            matching = moore_double_matching(g, r, v, budget)
-        except (TreeNotInduced, NoCompletion) as err:
+            h, leaves = _doubling_parts(g, r, v)
+        except TreeNotInduced as err:
             failure = err
             continue
+        found = find_double_matching(h, leaves, gg, budget)
+        if found is None:
+            failure = NoCompletion(f"no leaf bijection keeps girth {gg} (root {v}, radius {r})")
+            continue
         yielded = True
-        yield {"r": r, "root": v, "matching": matching}, apply_moore_double(g, r, v, matching)
+        yield {"r": r, "root": v, "matching": found[0]}, found[1]
     if failure is not None and not yielded:
         raise failure
 

@@ -25,7 +25,7 @@ from .constructions import (
     iter_subdivide_two,
 )
 from .errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
-from .graph import ACYCLIC, Graph, edit, remove_vertices
+from .graph import Graph, edit, remove_vertices
 from .limits import Budget
 from .rewire import iter_delete_edges_add_vertices, iter_delete_vertices, iter_remove_biggs_tree
 
@@ -68,14 +68,15 @@ class Operation:
 
     - `apply(parents, params)` replays a recipe; it reads params through
       the typed readers of `_Params`.
-    - `grow(parent, target_girth, budget, **kw)` yields (params, graph); a
-      binary operation's parent is the pair.
+    - `grow(parent, budget, **options)` yields (params, graph); a binary
+      operation's parent is the pair.
     - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
       order n, each a (parent order, grow keywords). The engine grows from
       each (k,g)-graph it stores of that order, or from no parent when the
       order is None.
     - `degrees` holds the k the engine tries the operation for.
-    - `options` names the grow keywords the CLI fills from its flags.
+    - `options` names the grow keywords `construct` accepts and the CLI
+      fills from flags; a `target_girth` defaults to the parent's girth.
 
     Entries reach library functions through module globals at call time, so
     patched or traced names take effect.
@@ -90,15 +91,14 @@ class Operation:
     options: tuple[str, ...] = ()
 
 
-def _grow_amalgams(pair, target_girth, budget, tries):
-    """Amalgams of the pair over its first `tries` edges each, at the girth."""
+def _grow_amalgams(pair, budget, tries):
+    """Amalgams of the pair over its first `tries` edges each, of any girth."""
     g1, g2 = pair
     for e1 in g1.edges()[:tries]:
         for e2 in g2.edges()[:tries]:
             for mode in AMALGAMATE_MODES:
                 out = amalgamate(g1, g2, e1, e2, mode)
-                if out.girth() == target_girth:
-                    yield {"e1": list(e1), "e2": list(e2), "mode": mode}, out
+                yield {"e1": list(e1), "e2": list(e2), "mode": mode}, out
 
 
 def _adds(count: int):
@@ -113,27 +113,20 @@ def _moore_steps(n, k, g):
     return [(n // 2 + moore_tree_size(k, r), {"radius": r}) for r in range(g // 4 + 1)]
 
 
-def _target_girth(parent: Graph, target_girth: int | None) -> int:
-    """The target girth, by default the parent's, which a forest lacks."""
-    if target_girth is None and parent.girth() is ACYCLIC:
-        raise ParameterOutOfRange("input graph has no cycle")
-    return parent.girth() if target_girth is None else target_girth
-
-
-def _grow_double_cover(parent, target_girth, budget):
+def _grow_double_cover(parent, budget):
     yield {}, canonical_double_cover(parent)
 
 
-def _grow_matching(parent, target_girth, budget):
+def _grow_matching(parent, budget):
     matching = find_perfect_matching(parent, budget)
     yield {"matching": [list(e) for e in matching]}, edit(parent, remove=matching)
 
 
-def _grow_circulant(parent, target_girth, budget, n):
+def _grow_circulant(parent, budget, n):
     yield {"n": n, "S": [1, 3, n - 3, n - 1]}, families.circulant44(n)
 
 
-def _grow_parity(parent, target_girth, budget, n):
+def _grow_parity(parent, budget, n):
     yield {"n": n}, families.quartic_parity_graph(n)
 
 
@@ -162,23 +155,26 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "subdivide_two", 1,
         lambda ps, p: apply_subdivide_pair(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda parent, t, budget: iter_subdivide_two(parent, t, budget),
+        grow=lambda parent, budget, **kw: iter_subdivide_two(parent, budget=budget, **kw),
         steps=_adds(2),
         degrees=(3,),
+        options=("target_girth",),
     ),
     Operation(
         "subdivide_three", 1,
         lambda ps, p: apply_subdivide_triple(ps[0], p.edge("e1"), p.edge("e2"), p.edge("e3")),
-        grow=lambda parent, t, budget: iter_subdivide_three(parent, t, budget),
+        grow=lambda parent, budget, **kw: iter_subdivide_three(parent, budget=budget, **kw),
         steps=_adds(4),
         degrees=(3,),
+        options=("target_girth",),
     ),
     Operation(
         "subdivide_merge", 1,
         lambda ps, p: apply_subdivide_merge(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda parent, t, budget: iter_subdivide_merge(parent, t, budget),
+        grow=lambda parent, budget, **kw: iter_subdivide_merge(parent, budget=budget, **kw),
         steps=_adds(1),
         degrees=(4,),
+        options=("target_girth",),
     ),
     Operation(
         "canonical_double_cover", 1,
@@ -193,7 +189,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         lambda ps, p: apply_moore_double(
             ps[0], p.integer("r"), p.integer("root"), p.integers("matching")
         ),
-        grow=lambda parent, t, budget, radius, root=None: iter_moore_double(
+        grow=lambda parent, budget, radius, root=None: iter_moore_double(
             parent, radius, budget, root
         ),
         steps=_moore_steps,
@@ -203,30 +199,30 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "remove_biggs_tree", 1,
         _apply_remove_vertices("tree"),
-        grow=lambda parent, t, budget: iter_remove_biggs_tree(parent, budget),
+        grow=lambda parent, budget: iter_remove_biggs_tree(parent, budget),
     ),
     Operation(
         "delete_vertices", 1,
         _apply_remove_vertices("removed"),
-        grow=lambda parent, t, budget, vertices: iter_delete_vertices(
-            parent, vertices, _target_girth(parent, t), budget
+        grow=lambda parent, budget, vertices, target_girth=None: iter_delete_vertices(
+            parent, vertices, target_girth, budget
         ),
         steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
         degrees=ANY_DEGREE,
-        options=("vertices",),
+        options=("target_girth", "vertices"),
     ),
     Operation(
         "delete_edges_add_vertices", 1,
         _apply_delete_edges_add_vertices,
-        grow=lambda parent, t, budget, edges, vertices: iter_delete_edges_add_vertices(
-            parent, edges, vertices, _target_girth(parent, t), budget
+        grow=lambda parent, budget, edges, vertices, target_girth=None: (
+            iter_delete_edges_add_vertices(parent, edges, vertices, target_girth, budget)
         ),
         steps=lambda n, k, g: [
             (n - v, {"edges": e, "vertices": v})
             for e, v in [(3, 2) if k == 3 else (2, 1)]
         ],
         degrees=(3, 4),
-        options=("edges", "vertices"),
+        options=("target_girth", "edges", "vertices"),
     ),
     Operation(
         "remove_perfect_matching", 1,
@@ -276,19 +272,25 @@ def construct(
     parent: Graph,
     target_girth: int | None = None,
     budget: Budget | int | None = None,
-    **kw,
+    **options,
 ) -> list[Emitted]:
     """The outputs of one unary operation on parent, one per isomorphism
     class, as (params, graph) in the order the operation grows them.
 
-    `kw` are the operation's grow keywords (its `options`, such as
+    `options` are the operation's grow keywords (its `options`, such as
     `vertices` for delete_vertices or `radius` and `root` for
-    moore_tree_double).
+    moore_tree_double). A `target_girth` other than None is one of them;
+    any keyword the operation does not name is a `ParameterOutOfRange`.
     """
     op = OPERATIONS.get(name)
     if op is None or op.arity != 1 or op.grow is None:
         raise UnknownOperation(f"{name!r} is not a unary operation")
-    return dedup_first(op.grow(parent, target_girth, budget, **kw))
+    if target_girth is not None:
+        options["target_girth"] = target_girth
+    unknown = sorted(set(options) - set(op.options))
+    if unknown:
+        raise ParameterOutOfRange(f"{name} takes no option {', '.join(unknown)}")
+    return dedup_first(op.grow(parent, budget, **options))
 
 
 def _is_int(value) -> bool:

@@ -121,6 +121,13 @@ def _one_per_orbit(g: Graph, items: Iterable, image: Callable) -> Iterator:
         pending |= orbit
 
 
+def _target_girth(g: Graph, target_girth: int | None) -> int:
+    """The target girth, by default the parent's, which a forest lacks."""
+    if target_girth is None and g.girth() is ACYCLIC:
+        raise ParameterOutOfRange("input graph has no cycle")
+    return g.girth() if target_girth is None else target_girth
+
+
 def _girth_at_least(g: Graph, floor: int) -> bool:
     gg = g.girth()
     return gg is ACYCLIC or gg >= floor
@@ -156,10 +163,11 @@ def iter_delete_edges_add_vertices(
     g: Graph,
     num_edges: int,
     num_vertices: int,
-    target_girth: int,
+    target_girth: int | None = None,
     budget: Budget | int | None = None,
 ) -> Iterator[Emitted]:
     """Completions for the first edge-deletion combination that admits any."""
+    target_girth = _target_girth(g, target_girth)
     k = g.regularity()
     if k is None:
         raise DegreeMismatch("input must be regular")
@@ -187,10 +195,11 @@ def iter_delete_edges_add_vertices(
 def iter_delete_vertices(
     g: Graph,
     num_vertices: int,
-    target_girth: int,
+    target_girth: int | None = None,
     budget: Budget | int | None = None,
 ) -> Iterator[Emitted]:
     """Completions for the first vertex-deletion combination that admits any."""
+    target_girth = _target_girth(g, target_girth)
     k = g.regularity()
     if k is None:
         raise DegreeMismatch("input must be regular")

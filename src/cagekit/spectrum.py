@@ -218,13 +218,13 @@ class _Engine:
     def _try_amalgam(self, op: Operation, a: int, b: int) -> bool:
         ca, cb = self.reps[a][0], self.reps[b][0]
         pair = (self.records[ca][0], self.records[cb][0])
-        grown = op.grow(pair, self.g, None, tries=_AMALGAM_TRIES)
+        grown = op.grow(pair, None, tries=_AMALGAM_TRIES)
         return any(self.commit(out, op.name, (ca, cb), params) for params, out in grown)
 
     def _scan(self, op: Operation, cert: str | None, kw: dict) -> bool:
         parent, parents = (None, ()) if cert is None else (self.records[cert][0], (cert,))
         try:
-            grown = op.grow(parent, self.g, self.budget, **kw)
+            grown = op.grow(parent, self.budget, **kw)
             for i, (params, out) in enumerate(grown):
                 if i >= _SCAN_CAP:
                     break

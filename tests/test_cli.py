@@ -195,6 +195,14 @@ def test_construct_rejects_target_girth_zero(tmp_path, capsys):
     assert "ParameterOutOfRange" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["canonical_double_cover", "amalgamate"])
+def test_construct_rejects_target_girth_for_an_operation_without_one(tmp_path, capsys, name):
+    src = write_g6(tmp_path / "in.g6", [petersen(), heawood()])
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", name, "--in", src, "--out", out, "--target-girth", "9"]) == 1
+    assert "ParameterOutOfRange" in capsys.readouterr().err
+
+
 def test_generators_stream_to_stdout(capsys):
     assert main(["circulant", "--n", "10", "--set", "1,3,7,9"]) == 0
     line = capsys.readouterr().out.strip()

@@ -15,8 +15,8 @@ from cagekit.constructions import (
     apply_moore_double,
     canonical_double_cover,
     find_perfect_matching,
+    iter_moore_double,
     iter_subdivide_two,
-    moore_double_matching,
     moore_tree_layers,
 )
 from cagekit.enumeration import EnumSpec, enumerate_regular
@@ -29,6 +29,7 @@ from cagekit.errors import (
     NotTetravalent,
     OddOrder,
     ParameterOutOfRange,
+    RadiusTooLarge,
     TreeNotInduced,
 )
 from cagekit.families import CirculantSpec, circulant, quartic_parity_graph
@@ -330,13 +331,35 @@ def test_moore_tree_double_all_roots_two_classes():
     assert len(certs) <= 2
 
 
+@pytest.mark.parametrize("g, r", [
+    (petersen(), 0), (petersen(), 1), (heawood(), 1), (tutte_coxeter(), 1), (tutte_coxeter(), 2),
+], ids=["petersen-0", "petersen-1", "heawood-1", "tutte_coxeter-1", "tutte_coxeter-2"])
+def test_moore_double_replays_at_every_root(g, r):
+    """Each doubling is the graph its recorded matching replays to, label for label."""
+    grown = list(iter_moore_double(g, r))
+    assert [params["root"] for params, _ in grown] == list(range(g.order))
+    for params, h in grown:
+        assert params["r"] == r
+        assert h == apply_moore_double(g, r, params["root"], params["matching"])
+
+
 def test_moore_double_matching_replays():
     p = petersen()
-    matching = moore_double_matching(p, 1, 0)
-    h = apply_moore_double(p, 1, 0, matching)
     [(params, grown)] = construct("moore_tree_double", p, radius=1, root=0)
-    assert params["matching"] == matching
-    assert certificate(h) == certificate(grown)
+    [(matching_params, h)] = iter_moore_double(p, 1, root=0)
+    assert params == matching_params
+    assert grown == h == apply_moore_double(p, 1, 0, params["matching"])
+
+
+@pytest.mark.parametrize("g, r, error", [
+    (petersen(), 2, RadiusTooLarge),
+    (complete_graph(4), 0, ParameterOutOfRange),
+    (complete_bipartite(2, 3), 0, DegreeMismatch),
+], ids=["radius", "girth-3", "not-regular"])
+def test_moore_double_rejects_its_input_at_the_first_next(g, r, error):
+    grown = iter_moore_double(g, r)
+    with pytest.raises(error):
+        next(grown)
 
 
 def test_moore_tree_double_heawood():

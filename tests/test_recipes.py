@@ -8,10 +8,10 @@ import pytest
 from cagekit.canon import certificate
 from cagekit.constructions import (
     find_perfect_matching,
+    iter_moore_double,
     iter_subdivide_merge,
     iter_subdivide_three,
     iter_subdivide_two,
-    moore_double_matching,
 )
 from cagekit.errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
 from cagekit.families import circulant44, gdgp, GdgpSpec, quartic_parity_graph
@@ -36,6 +36,12 @@ from cagekit.rewire import (
 def make_resolver(*graphs):
     table = {certificate(g): g for g in graphs}
     return lambda cert: table[cert]
+
+
+def petersen_double_matching() -> list[int]:
+    """The leaf bijection of Petersen's radius-1 doubling at root 0."""
+    [(params, _)] = iter_moore_double(petersen(), 1, root=0)
+    return params["matching"]
 
 
 def recorded(op, parent_graphs, params, out_graph):
@@ -74,6 +80,19 @@ def test_construct_takes_only_unary_operations(name):
         construct(name, petersen())
 
 
+@pytest.mark.parametrize("name", [
+    "canonical_double_cover", "moore_tree_double", "remove_biggs_tree", "remove_perfect_matching",
+])
+def test_construct_rejects_a_target_girth_the_operation_does_not_read(name):
+    with pytest.raises(ParameterOutOfRange, match="target_girth"):
+        construct(name, heawood(), 9)
+
+
+def test_construct_rejects_a_misspelled_option():
+    with pytest.raises(ParameterOutOfRange, match="vertice"):
+        construct("delete_vertices", circulant44(11), vertice=2)
+
+
 @pytest.mark.parametrize(
     "line",
     ["op=seed out=x", "op=seed parents= out=x", "op=seed parents= params={ out=x", ""],
@@ -108,7 +127,7 @@ def test_replay_names_a_missing_param():
 
 def test_replay_of_moore_double_without_root():
     p = petersen()
-    params = {"r": 1, "matching": list(moore_double_matching(p, 1, 0))}
+    params = {"r": 1, "matching": petersen_double_matching()}
     r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
     with pytest.raises(ReplayMismatch, match="moore_tree_double.*'root'"):
         replay(r, make_resolver(p))
@@ -132,7 +151,7 @@ def test_replay_rejects_a_param_of_the_wrong_shape(key, alter):
                          ids=["short", "out-of-range"])
 def test_replay_of_moore_double_with_a_bad_matching(alter):
     p = petersen()
-    params = {"r": 1, "root": 0, "matching": alter(list(moore_double_matching(p, 1, 0)))}
+    params = {"r": 1, "root": 0, "matching": alter(petersen_double_matching())}
     r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
     with pytest.raises(ParameterOutOfRange, match="not a permutation"):
         replay(r, make_resolver(p))
@@ -181,7 +200,7 @@ def all_operation_examples():
         )
     )
 
-    matching = moore_double_matching(p, 1, 0)
+    matching = petersen_double_matching()
     h = apply_moore_double(p, 1, 0, matching)
     cases.append(
         (
@@ -260,20 +279,20 @@ def test_every_operation_replays():
         assert certificate(out) == recipe.output_cert
 
 
-# name -> (parent, target girth, grow keywords); a pair for amalgamate
+# name -> (parent, grow keywords); a pair for amalgamate
 GROW_CASES = {
-    "amalgamate": ((petersen(), heawood()), 5, {"tries": 3}),
-    "subdivide_two": (petersen(), None, {}),
-    "subdivide_three": (petersen(), None, {}),
-    "subdivide_merge": (complete_graph(5), None, {}),
-    "canonical_double_cover": (complete_graph(5), None, {}),
-    "moore_tree_double": (petersen(), None, {"radius": 1}),
-    "remove_biggs_tree": (heawood(), None, {}),
-    "delete_vertices": (circulant44(11), 3, {"vertices": 1}),
-    "delete_edges_add_vertices": (heawood(), 6, {"edges": 3, "vertices": 2}),
-    "remove_perfect_matching": (complete_bipartite(4, 4), None, {}),
-    "circulant": (None, None, {"n": 11}),
-    "quartic_parity_graph": (None, None, {"n": 26}),
+    "amalgamate": ((petersen(), heawood()), {"tries": 3}),
+    "subdivide_two": (petersen(), {}),
+    "subdivide_three": (petersen(), {"target_girth": 5}),
+    "subdivide_merge": (complete_graph(5), {}),
+    "canonical_double_cover": (complete_graph(5), {}),
+    "moore_tree_double": (petersen(), {"radius": 1}),
+    "remove_biggs_tree": (heawood(), {}),
+    "delete_vertices": (circulant44(11), {"target_girth": 3, "vertices": 1}),
+    "delete_edges_add_vertices": (heawood(), {"target_girth": 6, "edges": 3, "vertices": 2}),
+    "remove_perfect_matching": (complete_bipartite(4, 4), {}),
+    "circulant": (None, {"n": 11}),
+    "quartic_parity_graph": (None, {"n": 26}),
 }
 
 
@@ -285,10 +304,10 @@ def test_grow_cases_cover_every_growing_operation():
 def test_replay_rebuilds_what_grow_emits_label_for_label(name):
     """The spectrum engine's replay gate relies on this: a recipe replays to
     the very graph its operation emitted, not just to an isomorphic one."""
-    parent, target_girth, kw = GROW_CASES[name]
+    parent, kw = GROW_CASES[name]
     op = OPERATIONS[name]
     parents = {0: (), 1: (parent,), 2: parent}[op.arity]
-    grown = list(islice(op.grow(parent, target_girth, 10**7, **kw), 5))
+    grown = list(islice(op.grow(parent, 10**7, **kw), 5))
     assert grown
     resolve = make_resolver(*parents)
     for params, out in grown:

@@ -222,7 +222,7 @@ def test_no_moore_double_step_below_girth_four(k):
 
 
 def test_construction_bug_propagates(monkeypatch):
-    def broken(parent, g, budget):
+    def broken(parent, target_girth=None, budget=None):
         raise IndexOutOfRange("vertex 99 not in 0..9")
         yield
 
@@ -236,8 +236,8 @@ def _grow_subdivide_two_with(monkeypatch, alter):
     """Patch subdivide_two to record alter(parent, params) for each output."""
     op = recipes.OPERATIONS["subdivide_two"]
 
-    def grow(parent, target_girth, budget):
-        for params, out in op.grow(parent, target_girth, budget):
+    def grow(parent, budget, **options):
+        for params, out in op.grow(parent, budget, **options):
             yield alter(parent, params), out
 
     monkeypatch.setitem(recipes.OPERATIONS, "subdivide_two", dataclasses.replace(op, grow=grow))
