@@ -11,7 +11,6 @@ from .canon import certificate
 from .constructions import AMALGAMATE_MODES
 from .enumeration import EnumSpec, enumerate_regular
 from .errors import CagekitError, NotAnEdge, ParameterOutOfRange
-from .families import CirculantSpec, GdgpSpec, circulant, gdgp, quartic_parity_graph
 from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
 from .recipes import OPERATIONS, Recipe, apply_operation, construct, write_recipes
@@ -109,18 +108,10 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_circulant(args) -> int:
-    _emit([circulant(CirculantSpec(args.n, args.set))], args.out)
-    return 0
-
-
-def cmd_gdgp(args) -> int:
-    _emit([gdgp(GdgpSpec(args.m, args.n, args.K))], args.out)
-    return 0
-
-
-def cmd_parity46(args) -> int:
-    _emit([quartic_parity_graph(args.n)], args.out)
+def _generate(args) -> int:
+    """Build parentless table entry `args.operation` from its param flags."""
+    params = {key: getattr(args, key) for key in args.params}
+    _emit([apply_operation(args.operation, (), params)], args.out)
     return 0
 
 
@@ -204,21 +195,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circulant", help="circulant graph from a connecting set")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", type=_int_list, required=True, help="comma-separated jumps")
+    p.add_argument("--set", dest="S", metavar="SET", type=_int_list, required=True,
+                   help="comma-separated jumps")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_circulant)
+    p.set_defaults(func=_generate, operation="circulant", params=("n", "S"))
 
     p = sub.add_parser("gdgp", help="group divisible generalized Petersen graph")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--K", type=_int_list, required=True, help="comma-separated chord offsets")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gdgp)
+    p.set_defaults(func=_generate, operation="gdgp", params=("m", "n", "K"))
 
     p = sub.add_parser("parity46", help="4-regular girth-6 parity-rule graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_parity46)
+    p.set_defaults(func=_generate, operation="quartic_parity_graph", params=("n",))
 
     p = sub.add_parser("enumerate", help="all small (k,>=g)-graphs of one order")
     p.add_argument("--k", type=int, required=True)

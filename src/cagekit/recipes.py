@@ -1,6 +1,7 @@
 """Construction provenance records, the operation table, and replay."""
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass
@@ -69,14 +70,14 @@ class Operation:
     - `apply(parents, params)` replays a recipe; it reads params through
       the typed readers of `_Params`.
     - `grow(parent, budget, **options)` yields (params, graph); a binary
-      operation's parent is the pair.
+      operation's parent is the pair. Its keywords after the budget are its
+      `options`, which `construct` accepts and the CLI fills from flags; a
+      `target_girth` defaults to the parent's girth.
     - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
       order n, each a (parent order, grow keywords). The engine grows from
       each (k,g)-graph it stores of that order, or from no parent when the
       order is None.
     - `degrees` holds the k the engine tries the operation for.
-    - `options` names the grow keywords `construct` accepts and the CLI
-      fills from flags; a `target_girth` defaults to the parent's girth.
 
     Entries reach library functions through module globals at call time, so
     patched or traced names take effect.
@@ -88,7 +89,12 @@ class Operation:
     grow: Callable[..., Iterator[Emitted]] | None = None
     steps: Callable[[int, int, int], Iterable[tuple]] = lambda n, k, g: ()
     degrees: Container[int] = ()
-    options: tuple[str, ...] = ()
+
+    @property
+    def options(self) -> dict[str, inspect.Parameter]:
+        """The grow keywords after (parent, budget), by name."""
+        params = inspect.signature(self.grow).parameters if self.grow else {}
+        return dict(list(params.items())[2:])
 
 
 def _grow_amalgams(pair, budget, tries):
@@ -155,26 +161,23 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "subdivide_two", 1,
         lambda ps, p: apply_subdivide_pair(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda parent, budget, **kw: iter_subdivide_two(parent, budget=budget, **kw),
+        grow=lambda g, budget, target_girth=None: iter_subdivide_two(g, target_girth, budget),
         steps=_adds(2),
         degrees=(3,),
-        options=("target_girth",),
     ),
     Operation(
         "subdivide_three", 1,
         lambda ps, p: apply_subdivide_triple(ps[0], p.edge("e1"), p.edge("e2"), p.edge("e3")),
-        grow=lambda parent, budget, **kw: iter_subdivide_three(parent, budget=budget, **kw),
+        grow=lambda g, budget, target_girth=None: iter_subdivide_three(g, target_girth, budget),
         steps=_adds(4),
         degrees=(3,),
-        options=("target_girth",),
     ),
     Operation(
         "subdivide_merge", 1,
         lambda ps, p: apply_subdivide_merge(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda parent, budget, **kw: iter_subdivide_merge(parent, budget=budget, **kw),
+        grow=lambda g, budget, target_girth=None: iter_subdivide_merge(g, target_girth, budget),
         steps=_adds(1),
         degrees=(4,),
-        options=("target_girth",),
     ),
     Operation(
         "canonical_double_cover", 1,
@@ -194,7 +197,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         ),
         steps=_moore_steps,
         degrees=ANY_DEGREE,
-        options=("radius", "root"),
     ),
     Operation(
         "remove_biggs_tree", 1,
@@ -209,7 +211,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         ),
         steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
         degrees=ANY_DEGREE,
-        options=("target_girth", "vertices"),
     ),
     Operation(
         "delete_edges_add_vertices", 1,
@@ -222,7 +223,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             for e, v in [(3, 2) if k == 3 else (2, 1)]
         ],
         degrees=(3, 4),
-        options=("target_girth", "edges", "vertices"),
     ),
     Operation(
         "remove_perfect_matching", 1,
@@ -279,17 +279,22 @@ def construct(
 
     `options` are the operation's grow keywords (its `options`, such as
     `vertices` for delete_vertices or `radius` and `root` for
-    moore_tree_double). A `target_girth` other than None is one of them;
-    any keyword the operation does not name is a `ParameterOutOfRange`.
+    moore_tree_double). A `target_girth` other than None is one of them.
+    A keyword the operation does not name, and then one it needs and is
+    not given, is a `ParameterOutOfRange`.
     """
     op = OPERATIONS.get(name)
     if op is None or op.arity != 1 or op.grow is None:
         raise UnknownOperation(f"{name!r} is not a unary operation")
     if target_girth is not None:
         options["target_girth"] = target_girth
-    unknown = sorted(set(options) - set(op.options))
+    declared = op.options
+    unknown = sorted(set(options) - set(declared))
     if unknown:
         raise ParameterOutOfRange(f"{name} takes no option {', '.join(unknown)}")
+    missing = [key for key, p in declared.items() if p.default is p.empty and key not in options]
+    if missing:
+        raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")
     return dedup_first(op.grow(parent, budget, **options))
 
 

@@ -1,14 +1,15 @@
 """Command-line subcommands: exit codes, file formats, determinism."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import os
 
 import pytest
 
-from cagekit import graph6, recipes
+from cagekit import families, graph6, recipes
 from cagekit.canon import certificate
-from cagekit.cli import CONSTRUCT_NAMES, main
+from cagekit.cli import CONSTRUCT_NAMES, build_parser, main
 from cagekit.constructions import amalgamate
 from cagekit.named import complete_bipartite, complete_graph, heawood, mcgee, petersen
 from cagekit.recipes import read_recipes, verified_replay
@@ -216,6 +217,38 @@ def test_generators_stream_to_stdout(capsys):
     assert main(["parity46", "--n", "26"]) == 0
     g = graph6.decode(capsys.readouterr().out.strip())
     assert (g.order, g.regularity(), g.girth()) == (26, 4, 6)
+
+
+def test_construct_flags_cover_every_unary_option():
+    actions = build_parser()._actions
+    [sub] = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for action in sub.choices["construct"]._actions}
+    for op in recipes.OPERATIONS.values():
+        if op.arity == 1:
+            assert set(op.options) <= dests, op.name
+
+
+@pytest.mark.parametrize("argv, operation, graph", [
+    (["circulant", "--n", "10", "--set", "1,3,7,9"], "circulant",
+     lambda: families.circulant(families.CirculantSpec(10, (1, 3, 7, 9)))),
+    (["gdgp", "--m", "2", "--n", "18", "--K", "5,5"], "gdgp",
+     lambda: families.gdgp(families.GdgpSpec(2, 18, (5, 5)))),
+    (["parity46", "--n", "26"], "quartic_parity_graph",
+     lambda: families.quartic_parity_graph(26)),
+], ids=["circulant", "gdgp", "parity46"])
+def test_generators_build_the_family_graph_through_the_table(
+    capsys, monkeypatch, argv, operation, graph
+):
+    built = []
+
+    def apply_operation(name, parents, params):
+        built.append((name, tuple(parents)))
+        return recipes.apply_operation(name, parents, params)
+
+    monkeypatch.setattr("cagekit.cli.apply_operation", apply_operation)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == graph6.encode(graph()) + "\n"
+    assert built == [(operation, ())]
 
 
 def test_enumerate_prints_count(capsys):

@@ -1,6 +1,7 @@
 """Recorded constructions: line format, replay, and verification."""
 from __future__ import annotations
 
+import inspect
 from itertools import islice
 
 import pytest
@@ -91,6 +92,33 @@ def test_construct_rejects_a_target_girth_the_operation_does_not_read(name):
 def test_construct_rejects_a_misspelled_option():
     with pytest.raises(ParameterOutOfRange, match="vertice"):
         construct("delete_vertices", circulant44(11), vertice=2)
+
+
+@pytest.mark.parametrize("name, options, missing", [
+    ("moore_tree_double", {}, "radius"),
+    ("moore_tree_double", {"root": 0}, "radius"),
+    ("delete_vertices", {"target_girth": 4}, "vertices"),
+    ("delete_edges_add_vertices", {}, "edges, vertices"),
+    ("delete_edges_add_vertices", {"edges": 3}, "vertices"),
+])
+def test_construct_rejects_a_missing_option(name, options, missing):
+    with pytest.raises(ParameterOutOfRange, match=f"needs option {missing}$"):
+        construct(name, petersen(), **options)
+
+
+def test_every_engine_step_binds_to_its_grow_signature():
+    """The keywords `steps` asks for are exactly what `grow` declares after
+    (parent, budget): none unknown, none required left out."""
+    checked = 0
+    for op in OPERATIONS.values():
+        for k in range(3, 6):
+            for g in range(3, 9):
+                for n in range(61):
+                    for _, options in op.steps(n, k, g):
+                        inspect.signature(op.grow).bind(None, None, **options)
+                        assert set(options) <= set(op.options)
+                        checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize(
