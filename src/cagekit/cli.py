@@ -24,6 +24,9 @@ from .spectrum import (
 )
 
 CONSTRUCT_NAMES = tuple(name for name, op in OPERATIONS.items() if op.arity >= 1)
+# construct's option flags; each default applies where an operation names it
+_OPTION_FLAGS = ("target_girth", "edges", "vertices", "radius", "root", "e1", "e2", "mode")
+_OPTION_DEFAULTS = {"edges": 3, "vertices": 2, "radius": 1}
 
 
 def _emit(graphs, path):
@@ -77,19 +80,21 @@ def cmd_girth(args) -> int:
 
 def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
     op = OPERATIONS[args.name]
+    given = {key: getattr(args, key) for key in _OPTION_FLAGS if getattr(args, key) is not None}
     if op.arity == 2:
-        if args.target_girth is not None:
-            raise ParameterOutOfRange(f"{op.name} takes no option target_girth")
+        unread = sorted(set(given) - {"e1", "e2", "mode"})
+        if unread:
+            raise ParameterOutOfRange(f"{op.name} takes no option {', '.join(unread)}")
         if len(graphs) < 2:
             raise CagekitError("amalgamation needs two input graphs")
         g1, g2 = graphs[0], graphs[1]
         if not (g1.size and g2.size):
             raise NotAnEdge("amalgamation needs an edge in each input graph")
         e1, e2 = args.e1 or g1.edges()[0], args.e2 or g2.edges()[0]
-        params = {"e1": list(e1), "e2": list(e2), "mode": args.mode}
+        params = {"e1": list(e1), "e2": list(e2), "mode": args.mode or "cross"}
         h = apply_operation(op.name, (g1, g2), params)
         return [(Recipe(op.name, (certificate(g1), certificate(g2)), params, certificate(h)), h)]
-    options = {name: getattr(args, name) for name in ("target_girth", *op.options)}
+    options = {key: v for key, v in _OPTION_DEFAULTS.items() if key in op.options} | given
     out: list[tuple[Recipe, Graph]] = []
     for parent in graphs:
         cert = certificate(parent)
@@ -183,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--target-girth", type=int, default=None)
-    p.add_argument("--edges", type=int, default=3)
-    p.add_argument("--vertices", type=int, default=2)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--edges", type=int, default=None)
+    p.add_argument("--vertices", type=int, default=None)
+    p.add_argument("--radius", type=int, default=None)
     p.add_argument("--root", type=int, default=None)
     p.add_argument("--e1", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
     p.add_argument("--e2", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
-    p.add_argument("--mode", choices=AMALGAMATE_MODES, default="cross")
+    p.add_argument("--mode", choices=AMALGAMATE_MODES, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_construct)
 

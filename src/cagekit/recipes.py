@@ -69,10 +69,10 @@ class Operation:
 
     - `apply(parents, params)` replays a recipe; it reads params through
       the typed readers of `_Params`.
-    - `grow(parent, budget, **options)` yields (params, graph); a binary
-      operation's parent is the pair. Its keywords after the budget are its
-      `options`, which `construct` accepts and the CLI fills from flags; a
-      `target_girth` defaults to the parent's girth.
+    - `grow(parents, budget, **options)` yields (params, graph), as `apply`
+      takes the parents: `()`, `(g,)` or `(g1, g2)`. Its keywords after the
+      budget are its `options`, which `construct` accepts and the CLI fills
+      from flags; a `target_girth` defaults to the parent's girth.
     - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
       order n, each a (parent order, grow keywords). The engine grows from
       each (k,g)-graph it stores of that order, or from no parent when the
@@ -92,14 +92,14 @@ class Operation:
 
     @property
     def options(self) -> dict[str, inspect.Parameter]:
-        """The grow keywords after (parent, budget), by name."""
+        """The grow keywords after (parents, budget), by name."""
         params = inspect.signature(self.grow).parameters if self.grow else {}
         return dict(list(params.items())[2:])
 
 
-def _grow_amalgams(pair, budget, tries):
+def _grow_amalgams(parents, budget, tries):
     """Amalgams of the pair over its first `tries` edges each, of any girth."""
-    g1, g2 = pair
+    g1, g2 = parents
     for e1 in g1.edges()[:tries]:
         for e2 in g2.edges()[:tries]:
             for mode in AMALGAMATE_MODES:
@@ -119,20 +119,20 @@ def _moore_steps(n, k, g):
     return [(n // 2 + moore_tree_size(k, r), {"radius": r}) for r in range(g // 4 + 1)]
 
 
-def _grow_double_cover(parent, budget):
-    yield {}, canonical_double_cover(parent)
+def _grow_double_cover(parents, budget):
+    yield {}, canonical_double_cover(parents[0])
 
 
-def _grow_matching(parent, budget):
-    matching = find_perfect_matching(parent, budget)
-    yield {"matching": [list(e) for e in matching]}, edit(parent, remove=matching)
+def _grow_matching(parents, budget):
+    matching = find_perfect_matching(parents[0], budget)
+    yield {"matching": [list(e) for e in matching]}, edit(parents[0], remove=matching)
 
 
-def _grow_circulant(parent, budget, n):
+def _grow_circulant(parents, budget, n):
     yield {"n": n, "S": [1, 3, n - 3, n - 1]}, families.circulant44(n)
 
 
-def _grow_parity(parent, budget, n):
+def _grow_parity(parents, budget, n):
     yield {"n": n}, families.quartic_parity_graph(n)
 
 
@@ -161,21 +161,27 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "subdivide_two", 1,
         lambda ps, p: apply_subdivide_pair(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda g, budget, target_girth=None: iter_subdivide_two(g, target_girth, budget),
+        grow=lambda ps, budget, target_girth=None: iter_subdivide_two(
+            ps[0], target_girth, budget
+        ),
         steps=_adds(2),
         degrees=(3,),
     ),
     Operation(
         "subdivide_three", 1,
         lambda ps, p: apply_subdivide_triple(ps[0], p.edge("e1"), p.edge("e2"), p.edge("e3")),
-        grow=lambda g, budget, target_girth=None: iter_subdivide_three(g, target_girth, budget),
+        grow=lambda ps, budget, target_girth=None: iter_subdivide_three(
+            ps[0], target_girth, budget
+        ),
         steps=_adds(4),
         degrees=(3,),
     ),
     Operation(
         "subdivide_merge", 1,
         lambda ps, p: apply_subdivide_merge(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda g, budget, target_girth=None: iter_subdivide_merge(g, target_girth, budget),
+        grow=lambda ps, budget, target_girth=None: iter_subdivide_merge(
+            ps[0], target_girth, budget
+        ),
         steps=_adds(1),
         degrees=(4,),
     ),
@@ -192,8 +198,8 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         lambda ps, p: apply_moore_double(
             ps[0], p.integer("r"), p.integer("root"), p.integers("matching")
         ),
-        grow=lambda parent, budget, radius, root=None: iter_moore_double(
-            parent, radius, budget, root
+        grow=lambda ps, budget, radius, root=None: iter_moore_double(
+            ps[0], radius, budget, root
         ),
         steps=_moore_steps,
         degrees=ANY_DEGREE,
@@ -201,13 +207,13 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "remove_biggs_tree", 1,
         _apply_remove_vertices("tree"),
-        grow=lambda parent, budget: iter_remove_biggs_tree(parent, budget),
+        grow=lambda ps, budget: iter_remove_biggs_tree(ps[0], budget),
     ),
     Operation(
         "delete_vertices", 1,
         _apply_remove_vertices("removed"),
-        grow=lambda parent, budget, vertices, target_girth=None: iter_delete_vertices(
-            parent, vertices, target_girth, budget
+        grow=lambda ps, budget, vertices, target_girth=None: iter_delete_vertices(
+            ps[0], vertices, target_girth, budget
         ),
         steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
         degrees=ANY_DEGREE,
@@ -215,8 +221,8 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "delete_edges_add_vertices", 1,
         _apply_delete_edges_add_vertices,
-        grow=lambda parent, budget, edges, vertices, target_girth=None: (
-            iter_delete_edges_add_vertices(parent, edges, vertices, target_girth, budget)
+        grow=lambda ps, budget, edges, vertices, target_girth=None: (
+            iter_delete_edges_add_vertices(ps[0], edges, vertices, target_girth, budget)
         ),
         steps=lambda n, k, g: [
             (n - v, {"edges": e, "vertices": v})
@@ -295,7 +301,7 @@ def construct(
     missing = [key for key, p in declared.items() if p.default is p.empty and key not in options]
     if missing:
         raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")
-    return dedup_first(op.grow(parent, budget, **options))
+    return dedup_first(op.grow((parent,), budget, **options))
 
 
 def _is_int(value) -> bool:

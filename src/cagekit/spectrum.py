@@ -44,9 +44,10 @@ _EXCLUDED = (
 DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
 
 # Search policy. The shipped reports depend on these values.
-_ROUNDS = 3  # construction passes after the seed generators
-_REPS_PER_ORDER = 4  # (k,g)-graphs kept per order as parents
-_SCAN_CAP = 200  # outputs read from one grow call
+# (k,g)-graphs kept per order as parents. Every scan stops at the commit that
+# realizes its order, so a constructed order stores one graph; only seeds of
+# the same order fill more slots.
+_REPS_PER_ORDER = 4
 _AMALGAM_TRIES = 15  # edges of each graph an amalgam pair joins at
 
 
@@ -200,8 +201,8 @@ class _Engine:
     def _amalgam_closure(self) -> None:
         """Mark a+b Realized for Realized a, b; runs to a fixed point.
 
-        Kept outside the global budget so the additive-closure invariant
-        survives budget exhaustion; each pair gets a bounded edge scan.
+        An amalgam scan is bounded by its pair's edges and spends no budget,
+        so the additive-closure invariant survives budget exhaustion.
         """
         for op in self.ops[2]:
             changed = True
@@ -210,24 +211,16 @@ class _Engine:
                 orders = sorted(self.reps)
                 for a in orders:
                     for b in (o for o in orders if o >= a and o + a <= self.horizon):
-                        if self.state[a + b] is not OrderState.UNRESOLVED:
-                            continue
-                        if self._try_amalgam(op, a, b):
-                            changed = True
+                        if self.state[a + b] is OrderState.UNRESOLVED:
+                            pair = (self.reps[a][0], self.reps[b][0])
+                            changed |= self._scan(op, pair, {"tries": _AMALGAM_TRIES})
 
-    def _try_amalgam(self, op: Operation, a: int, b: int) -> bool:
-        ca, cb = self.reps[a][0], self.reps[b][0]
-        pair = (self.records[ca][0], self.records[cb][0])
-        grown = op.grow(pair, None, tries=_AMALGAM_TRIES)
-        return any(self.commit(out, op.name, (ca, cb), params) for params, out in grown)
-
-    def _scan(self, op: Operation, cert: str | None, kw: dict) -> bool:
-        parent, parents = (None, ()) if cert is None else (self.records[cert][0], (cert,))
+    def _scan(self, op: Operation, parents: tuple[str, ...], kw: dict) -> bool:
+        """Commit what op grows from the stored parents until an order is
+        realized; a scan that yields no candidate realizes nothing."""
+        graphs = tuple(self.records[cert][0] for cert in parents)
         try:
-            grown = op.grow(parent, self.budget, **kw)
-            for i, (params, out) in enumerate(grown):
-                if i >= _SCAN_CAP:
-                    break
+            for params, out in op.grow(graphs, self.budget, **kw):
                 if self.commit(out, op.name, parents, params):
                     return True
         except NoCandidate:
@@ -236,9 +229,9 @@ class _Engine:
 
     def _attempt(self, n: int, op: Operation) -> bool:
         for order, kw in op.steps(n, self.k, self.g):
-            for cert in [None] if order is None else list(self.reps.get(order, ())):
-                if self._scan(op, cert, kw):
-                    return True
+            sources = [()] if order is None else [(c,) for c in self.reps.get(order, ())]
+            if any(self._scan(op, parents, kw) for parents in sources):
+                return True
         return False
 
     def _construct_pass(self) -> bool:
@@ -249,24 +242,17 @@ class _Engine:
             ops = list(self.ops[1])
             if self.rng is not None:
                 self.rng.shuffle(ops)
-            if any(self._attempt(n, op) for op in ops):
-                changed = True
+            changed |= any(self._attempt(n, op) for op in ops)
         return changed
 
     def run(self) -> SpectrumReport:
+        """Generators, then construction passes until one realizes nothing."""
         truncated = False
         try:
             self._seed_generators()
             self._amalgam_closure()
-            for _ in range(_ROUNDS):
-                if not any(
-                    st is OrderState.UNRESOLVED for st in self.state.values()
-                ):
-                    break
-                changed = self._construct_pass()
+            while self._construct_pass():
                 self._amalgam_closure()
-                if not changed:
-                    break
         except BudgetExhausted:
             truncated = True
             self._amalgam_closure()

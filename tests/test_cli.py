@@ -204,6 +204,25 @@ def test_construct_rejects_target_girth_for_an_operation_without_one(tmp_path, c
     assert "ParameterOutOfRange" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, flags, option", [
+    ("subdivide_two", ["--vertices", "9", "--radius", "4"], "radius, vertices"),
+    ("canonical_double_cover", ["--e1", "0,1"], "e1"),
+    ("delete_vertices", ["--vertices", "1", "--edges", "3"], "edges"),
+    ("moore_tree_double", ["--mode", "parallel"], "mode"),
+    ("remove_perfect_matching", ["--root", "0"], "root"),
+    ("amalgamate", ["--e1", "0,1", "--vertices", "2"], "vertices"),
+    ("amalgamate", ["--radius", "1", "--root", "0"], "radius, root"),
+])
+def test_construct_rejects_a_flag_the_operation_does_not_read(tmp_path, capsys, name, flags,
+                                                             option):
+    src = write_g6(tmp_path / "in.g6", [petersen(), heawood()])
+    out = str(tmp_path / "out.g6")
+    assert main(["construct", name, "--in", src, "--out", out, *flags]) == 1
+    err = capsys.readouterr().err
+    assert "ParameterOutOfRange" in err
+    assert f"takes no option {option}" in err
+
+
 def test_generators_stream_to_stdout(capsys):
     assert main(["circulant", "--n", "10", "--set", "1,3,7,9"]) == 0
     line = capsys.readouterr().out.strip()

@@ -335,7 +335,7 @@ def test_replay_rebuilds_what_grow_emits_label_for_label(name):
     parent, kw = GROW_CASES[name]
     op = OPERATIONS[name]
     parents = {0: (), 1: (parent,), 2: parent}[op.arity]
-    grown = list(islice(op.grow(parent, 10**7, **kw), 5))
+    grown = list(islice(op.grow(parents, 10**7, **kw), 5))
     assert grown
     resolve = make_resolver(*parents)
     for params, out in grown:

@@ -10,6 +10,7 @@ import pytest
 from cagekit import canon, recipes, spectrum
 from cagekit.bounds import moore_bound, parity_admissible
 from cagekit.canon import certificate
+from cagekit.constructions import iter_subdivide_two
 from cagekit.errors import (
     BadSeed,
     CagekitError,
@@ -162,12 +163,36 @@ def test_deterministic_reports():
     assert render_report(a) == render_report(b)
 
 
-def test_rng_seed_changes_witnesses_not_truth(report_3_5):
-    shuffled = spectrum_search(
-        3, 5, [petersen()], 40, SearchConfig(rng_seed=7)
-    )
-    assert sorted(shuffled.realized_orders()) == sorted(report_3_5.realized_orders())
-    assert render_report(shuffled) == golden("report_3_5_rng7.txt")
+def test_rng_seed_changes_witnesses_not_truth(report_3_5, report_3_5_rng7):
+    assert sorted(report_3_5_rng7.realized_orders()) == sorted(report_3_5.realized_orders())
+    assert render_report(report_3_5_rng7) == golden("report_3_5_rng7.txt")
+
+
+@pytest.mark.parametrize("fixture, steps", [
+    ("report_3_3", 9),
+    ("report_3_4", 38),
+    ("report_3_5", 46),
+    ("report_3_6", 729),
+    ("report_4_4", 0),
+    ("report_3_8", 99_146),
+    ("report_3_5_rng7", 838),
+])
+def test_fixture_budget_steps(fixture, steps, request, budget_steps):
+    # the deterministic work of each session run, pinned so that a change to
+    # the search order shows even when every table stays the same
+    request.getfixturevalue(fixture)
+    assert budget_steps[fixture] == steps
+
+
+def test_passes_repeat_until_one_realizes_nothing():
+    # delete_vertices reaches down at most 4 orders from a stored graph, so
+    # realizing 10..28 from one graph of order 30 takes five passes
+    g = petersen()
+    while g.order < 30:
+        _, g = next(iter_subdivide_two(g))
+    config = SearchConfig(constructions=("delete_vertices",))
+    report = spectrum_search(3, 5, [g], 30, config)
+    assert report.realized_orders() == evens(10, 30)
 
 
 def test_restricted_construction_list():
@@ -236,9 +261,9 @@ def _grow_subdivide_two_with(monkeypatch, alter):
     """Patch subdivide_two to record alter(parent, params) for each output."""
     op = recipes.OPERATIONS["subdivide_two"]
 
-    def grow(parent, budget, **options):
-        for params, out in op.grow(parent, budget, **options):
-            yield alter(parent, params), out
+    def grow(parents, budget, **options):
+        for params, out in op.grow(parents, budget, **options):
+            yield alter(parents[0], params), out
 
     monkeypatch.setitem(recipes.OPERATIONS, "subdivide_two", dataclasses.replace(op, grow=grow))
 
