@@ -293,6 +293,14 @@ def edit(
     not have, MultiEdge for an addition already present or repeated, SameEdge
     for a loop and IndexOutOfRange for an endpoint outside the new order.
     """
+    return _build(rows_without_edges(g, remove, new_vertices), add)
+
+
+def rows_without_edges(
+    g: Graph, remove: Iterable[tuple[int, int]], new_vertices: int
+) -> list[list[int]]:
+    """g's rows as sorted lists, with the edges `remove` deleted and
+    `new_vertices` empty rows appended: the rows `edit` builds on."""
     if new_vertices < 0:
         raise ParameterOutOfRange(f"cannot add {new_vertices} vertices")
     rows = [list(r) for r in g.adjacency]
@@ -300,11 +308,12 @@ def edit(
         rows[u].remove(v)
         rows[v].remove(u)
     rows.extend([] for _ in range(new_vertices))
-    return _build(rows, add)
+    return rows
 
 
-def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
-    """Delete vertices, compact labels; returns (graph, old->new map with None holes)."""
+def rows_without_vertices(g: Graph, gone: Iterable[int]) -> tuple[list[list[int]], list]:
+    """g's rows as sorted lists, with the vertices `gone` deleted and the rest
+    relabeled in order; and the old->new map, None for a deleted vertex."""
     gone_set = set(gone)
     for v in gone_set:
         _check_vertex(v, g.order)
@@ -316,12 +325,18 @@ def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
         else:
             relab.append(nxt)
             nxt += 1
-    edges = [
-        (relab[u], relab[v])
-        for u, v in g.edges()
-        if u not in gone_set and v not in gone_set
+    rows = [
+        [relab[w] for w in row if relab[w] is not None]
+        for v, row in enumerate(g.adjacency)
+        if relab[v] is not None
     ]
-    return Graph.from_edges(nxt, edges), relab
+    return rows, relab
+
+
+def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
+    """Delete vertices, compact labels; returns (graph, old->new map with None holes)."""
+    rows, relab = rows_without_vertices(g, gone)
+    return Graph(rows), relab
 
 
 def relabeled(g: Graph, perm: Iterable[int]) -> Graph:

@@ -7,11 +7,15 @@ group leave isomorphic partial graphs, and whether a partial admits an
 accepted completion is an isomorphism invariant, so only the first deletion
 met in each orbit is tried (Meringer, J. Graph Theory 30, 1999). The first
 admitting deletion is the first of its orbit, so the output is unchanged.
+
+A partial graph is only adjacency rows, compacted or cut by the row helpers
+that `graph.remove_vertices` and `graph.edit` build on; a `Graph` is built,
+and validated, only for a completion.
 """
 from __future__ import annotations
 
 from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import automorphism_generators
 from .constructions import Emitted, Params
@@ -24,33 +28,43 @@ from .errors import (
     SpecViolation,
     TooManyVertices,
 )
-from .graph import ACYCLIC, Graph, bfs_distances, edit, remove_vertices
+from .graph import (
+    ACYCLIC,
+    Graph,
+    _build,
+    bfs_distances,
+    rows_without_edges,
+    rows_without_vertices,
+)
 from .limits import Budget, coerce_budget
 
 
 def iter_completions(
-    h: Graph, k: int, target_girth: int, budget: Budget
+    rows: Sequence[Sequence[int]], k: int, target_girth: int, budget: Budget
 ) -> Iterator[list[tuple[int, int]]]:
-    """Edge sets completing h to k-regular with no added cycle below target.
+    """Edge sets completing the adjacency rows (a Graph's `adjacency`, or
+    lists) to k-regular with no added cycle below target.
 
     Branches on the smallest deficient vertex with ascending partners, so
-    each completion set is produced exactly once. A partner is admissible
-    when it is deficient, non-adjacent, and at distance >= target_girth - 1
-    in the partially completed graph (re-checked as edges accumulate, since
+    each completion set is produced exactly once. A child only adds edges
+    (u, v) with v > u, so its smallest deficient vertex is at least u, and
+    the scan for it resumes there. A partner is admissible when it is
+    deficient, non-adjacent, and at distance >= target_girth - 1 in the
+    partially completed graph (re-checked as edges accumulate, since
     additions shrink distances).
     """
-    n = h.order
-    deficit = [k - len(row) for row in h.adjacency]
+    n = len(rows)
+    deficit = [k - len(row) for row in rows]
     if any(d < 0 for d in deficit):
         raise DegreeMismatch(f"a vertex already exceeds degree {k}")
     if sum(deficit) % 2 != 0:
         return
-    adj = [set(row) for row in h.adjacency]
+    adj = [set(row) for row in rows]
     chosen: list[tuple[int, int]] = []
 
-    def search() -> Iterator[list[tuple[int, int]]]:
+    def search(start: int) -> Iterator[list[tuple[int, int]]]:
         budget.spend()
-        u = next((v for v in range(n) if deficit[v] > 0), None)
+        u = next((v for v in range(start, n) if deficit[v] > 0), None)
         if u is None:
             yield list(chosen)
             return
@@ -64,61 +78,93 @@ def iter_completions(
             deficit[u] -= 1
             deficit[v] -= 1
             chosen.append((u, v))
-            yield from search()
+            yield from search(u)
             chosen.pop()
             deficit[u] += 1
             deficit[v] += 1
             adj[u].discard(v)
             adj[v].discard(u)
 
-    yield from search()
+    yield from search(0)
 
 
-def _vertex_set(p, vertices) -> frozenset:
-    """The image of a vertex set under the vertex map p."""
-    return frozenset([p[v] for v in vertices])
+def _edge_map(g: Graph, p: Sequence[int]) -> list[int]:
+    """The index in g.edges() of each edge's image under the vertex map p.
+
+    Raises SpecViolation unless p is an automorphism of g, so a wrong
+    generator fails loudly instead of pruning real candidates.
+    """
+    index = {e: i for i, e in enumerate(g.edges())}
+    if sorted(p) == list(range(g.order)):
+        q = [index.get((p[u], p[v]) if p[u] < p[v] else (p[v], p[u]))
+             for u, v in g.edges()]
+        if None not in q:
+            return q
+    raise SpecViolation(f"generator {list(p)!r} is not an automorphism")
 
 
-def _edge_set(p, edges) -> frozenset:
-    """The image of an edge set under the vertex map p."""
-    return frozenset([frozenset((p[u], p[v])) for u, v in edges])
+def _on_vertices(g: Graph, p: Sequence[int]) -> Sequence[int]:
+    """The checked generator p as an index map on the vertices."""
+    _edge_map(g, p)
+    return p
 
 
-def _one_per_orbit(g: Graph, items: Iterable, image: Callable) -> Iterator:
+def _one_per_orbit(
+    g: Graph,
+    items: Iterable[tuple[int, ...]],
+    action: Callable[[Graph, Sequence[int]], Sequence[int]],
+) -> Iterator[tuple[int, ...]]:
     """The items whose orbit under Aut(g) holds no earlier item.
 
-    `image(p, item)` is the set the item becomes under the vertex map p.
-    The generators are fetched only when a second item is asked for, so a
-    search whose first deletion succeeds never needs them. Each is checked
-    to map edges onto edges, so a wrong one fails loudly instead of pruning
-    real candidates.
+    Items are sorted index tuples into a ground set, the vertices or the
+    edges of g, as `combinations` yields them. `action(g, p)` checks a
+    generator p and turns it into an index map q on that ground set, once
+    per generator; the image of x under it is its sorted tuple of q[i]. The
+    generators are fetched only when a second item is asked for, so a search
+    whose first deletion succeeds never needs them.
     """
-    gens = None
+    maps = None
     pending: set = set()  # orbit members not met yet
-    identity = range(g.order)
     for item in items:
-        key = image(identity, item)
-        if key in pending:
-            pending.discard(key)  # each item is met once; free its slot
+        if item in pending:
+            pending.discard(item)  # each item is met once; free its slot
             continue
         yield item
-        if gens is None:
-            gens = automorphism_generators(g)
-            edges = _edge_set(identity, g.edges())
-            for p in gens:
-                if sorted(p) != list(identity) or _edge_set(p, edges) != edges:
-                    raise SpecViolation(f"generator {list(p)!r} is not an automorphism")
-        stack = [key]
-        orbit = {key}
+        if maps is None:
+            maps = [action(g, p) for p in automorphism_generators(g)]
+        stack = [item]
+        orbit = {item}
         while stack:
             x = stack.pop()
-            for p in gens:
-                y = image(p, x)
+            for q in maps:
+                y = tuple(sorted([q[i] for i in x]))
                 if y not in orbit:
                     orbit.add(y)
                     stack.append(y)
-        orbit.discard(key)
+        orbit.discard(item)
         pending |= orbit
+
+
+def _vertex_partials(
+    g: Graph, sets: Iterable[tuple[int, ...]], key: str
+) -> Iterator[tuple[Params, list[list[int]]]]:
+    """For one vertex set per orbit, in order: its params and the rows of g
+    without it, labels compacted as `remove_vertices` does."""
+    for gone in _one_per_orbit(g, sets, _on_vertices):
+        yield {key: list(gone)}, rows_without_vertices(g, gone)[0]
+
+
+def _edge_partials(
+    g: Graph, num_edges: int, num_vertices: int
+) -> Iterator[tuple[Params, list[list[int]]]]:
+    """For one set of num_edges edges per orbit, in order: its params and the
+    rows of g without them, plus num_vertices empty rows, as `edit` builds."""
+    edges = g.edges()
+    picks = combinations(range(len(edges)), num_edges)
+    for picked in _one_per_orbit(g, picks, _edge_map):
+        combo = [edges[i] for i in picked]
+        yield ({"removed": [list(e) for e in combo], "added": num_vertices},
+               rows_without_edges(g, combo, num_vertices))
 
 
 def _target_girth(g: Graph, target_girth: int | None) -> int:
@@ -134,7 +180,7 @@ def _girth_at_least(g: Graph, floor: int) -> bool:
 
 
 def _rewire(
-    partials: Iterable[tuple[Params, Graph]],
+    partials: Iterable[tuple[Params, list[list[int]]]],
     k: int,
     target_girth: int,
     accept: Callable[[Graph], bool],
@@ -143,14 +189,15 @@ def _rewire(
 ) -> Iterator[Emitted]:
     """Accepted completions of the first partial graph that has any.
 
-    Each partial comes with the params that rebuild it; a completion adds
-    its edge list as "edges". Raises failure when no partial has one.
+    Each partial is adjacency rows with the params that rebuild it; a
+    completion adds its edge list as "edges" and is the one Graph built.
+    Raises failure when no partial has one.
     """
     budget = coerce_budget(budget)
-    for head, h in partials:
+    for head, rows in partials:
         found = False
-        for completion in iter_completions(h, k, target_girth, budget):
-            out = edit(h, add=completion)
+        for completion in iter_completions(rows, k, target_girth, budget):
+            out = _build([list(r) for r in rows], completion)
             if accept(out):
                 found = True
                 yield {**head, "edges": [list(e) for e in completion]}, out
@@ -178,14 +225,9 @@ def iter_delete_edges_add_vertices(
             f"{num_edges} deleted edges and {num_vertices} added vertices of "
             f"degree {k} leave an odd number of open slots"
         )
-    partials = (
-        ({"removed": [list(e) for e in combo], "added": num_vertices},
-         edit(g, remove=combo, new_vertices=num_vertices))
-        for combo in _one_per_orbit(g, combinations(g.edges(), num_edges), _edge_set)
-    )
     yield from _rewire(
-        partials, k, target_girth, lambda out: _girth_at_least(out, target_girth),
-        budget,
+        _edge_partials(g, num_edges, num_vertices), k, target_girth,
+        lambda out: _girth_at_least(out, target_girth), budget,
         NoCompletion(
             f"no {num_edges}-edge deletion admits a girth-{target_girth} completion"
         ),
@@ -212,15 +254,9 @@ def iter_delete_vertices(
         raise NoCompletion(
             f"{k}-regular graphs of order {rest} fail the parity condition"
         )
-    partials = (
-        ({"removed": list(combo)}, remove_vertices(g, combo)[0])
-        for combo in _one_per_orbit(
-            g, combinations(range(g.order), num_vertices), _vertex_set
-        )
-    )
     yield from _rewire(
-        partials, k, target_girth, lambda out: _girth_at_least(out, target_girth),
-        budget,
+        _vertex_partials(g, combinations(range(g.order), num_vertices), "removed"),
+        k, target_girth, lambda out: _girth_at_least(out, target_girth), budget,
         NoCompletion(
             f"no {num_vertices}-vertex deletion admits a girth-{target_girth} completion"
         ),
@@ -282,13 +318,10 @@ def iter_remove_biggs_tree(
     if gg is ACYCLIC or gg < 4:
         raise ParameterOutOfRange("tree excision needs girth at least 4")
     size = biggs_excision_size(gg)
-    partials = (
-        ({"tree": list(tree)}, remove_vertices(g, tree)[0])
-        for tree in _one_per_orbit(g, _induced_trees(g, size), _vertex_set)
-    )
     yield from islice(
         _rewire(
-            partials, 3, gg - 1, lambda out: out.girth() == gg - 1, budget,
+            _vertex_partials(g, map(tuple, _induced_trees(g, size)), "tree"),
+            3, gg - 1, lambda out: out.girth() == gg - 1, budget,
             NoCompletion(f"no induced {size}-vertex tree admits a rewiring"),
         ),
         1,

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import rewire_oracle
 from cagekit import rewire
 from cagekit.canon import is_isomorphic
 from cagekit.enumeration import EnumSpec, enumerate_regular
@@ -21,7 +22,7 @@ from cagekit.errors import (
     TooManyVertices,
 )
 from cagekit.families import circulant44
-from cagekit.graph import ACYCLIC, Graph, edit
+from cagekit.graph import ACYCLIC, Graph, edit, relabeled
 from cagekit.limits import Budget
 from cagekit.named import (
     complete_bipartite,
@@ -35,6 +36,9 @@ from cagekit.named import (
 )
 from cagekit.rewire import (
     _connected_subsets,
+    _edge_partials,
+    _induced_trees,
+    _vertex_partials,
     biggs_excision_size,
     iter_completions,
     iter_delete_edges_add_vertices,
@@ -78,7 +82,7 @@ def _degrees_fit(h: Graph, k: int, combo) -> bool:
 def completion_sets(h: Graph, k: int, target_girth: int) -> set[frozenset]:
     found = [
         frozenset(tuple(sorted(e)) for e in c)
-        for c in iter_completions(h, k, target_girth, Budget(10**7))
+        for c in iter_completions(h.adjacency, k, target_girth, Budget(10**7))
     ]
     assert len(found) == len(set(found))  # each set exactly once
     return set(found)
@@ -103,7 +107,7 @@ def test_completions_path_endpoints():
 
 def test_completions_reject_overfull():
     with pytest.raises(DegreeMismatch):
-        list(iter_completions(cycle_graph(4), 1, 3, Budget(100)))
+        list(iter_completions(cycle_graph(4).adjacency, 1, 3, Budget(100)))
 
 
 def test_completions_match_brute_force():
@@ -290,3 +294,84 @@ def test_wrong_generator_is_not_read_as_no_candidate(monkeypatch, bad):
     with pytest.raises(SpecViolation) as err:
         list(iter_delete_edges_add_vertices(tutte_coxeter(), 2, 2, 8))
     assert not isinstance(err.value, NoCandidate)
+
+
+def _oracle_graphs() -> list[Graph]:
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
+    tc = tutte_coxeter()
+    perm = list(range(tc.order))
+    random.Random(17).shuffle(perm)
+    return graphs + [petersen(), heawood(), relabeled(tc, perm)]
+
+
+def _as_rows(partials) -> list:
+    return [(params, tuple(map(tuple, rows))) for params, rows in partials]
+
+
+def _as_adjacency(partials) -> list:
+    return [(params, h.adjacency) for params, h in partials]
+
+
+def test_orbits_and_partials_match_the_set_keyed_oracle():
+    """Index-tuple orbits and bare rows give the representatives, params and
+    rows of frozenset orbit keys and built partial Graphs."""
+    trees = 0
+    for g in _oracle_graphs():
+        for size in (1, 2, 3):
+            sets = partial(combinations, range(g.order), size)
+            assert _as_rows(_vertex_partials(g, sets(), "removed")) == _as_adjacency(
+                rewire_oracle.vertex_partials(g, sets(), "removed")
+            )
+        for num_edges, num_vertices in ((1, 0), (2, 0), (2, 2)):
+            assert _as_rows(_edge_partials(g, num_edges, num_vertices)) == _as_adjacency(
+                rewire_oracle.edge_partials(g, num_edges, num_vertices)
+            )
+        gg = g.girth()
+        if gg is not ACYCLIC and gg >= 4:
+            size = biggs_excision_size(gg)
+            mine = _as_rows(
+                _vertex_partials(g, map(tuple, _induced_trees(g, size)), "tree")
+            )
+            assert mine == _as_adjacency(
+                rewire_oracle.vertex_partials(g, _induced_trees(g, size), "tree")
+            )
+            trees += len(mine)
+    assert trees > 0
+
+
+@pytest.mark.parametrize(
+    "make, search",
+    [
+        (petersen, lambda g: iter_delete_vertices(g, 2, 5, Budget(10**6))),
+        (tutte_coxeter, lambda g: iter_delete_edges_add_vertices(g, 2, 2, 8, Budget(1000))),
+        (heawood, lambda g: iter_delete_edges_add_vertices(g, 3, 2, 6)),
+    ],
+    ids=["petersen-2-vertices", "tutte-coxeter-2-edges", "heawood-3-edges"],
+)
+def test_a_graph_is_built_only_for_a_completion(monkeypatch, make, search):
+    """Partials are rows: a search builds one Graph per completion it tries
+    and none for a partial."""
+    g = make()
+    built = []
+    completions = []
+    init = Graph.__init__
+    complete = rewire.iter_completions
+
+    def counting_init(self, adjacency):
+        built.append(self)
+        init(self, adjacency)
+
+    def counting_completions(*args):
+        for completion in complete(*args):
+            completions.append(completion)
+            yield completion
+
+    monkeypatch.setattr(rewire, "iter_completions", counting_completions)
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    try:
+        outs = list(search(g))
+    except NoCompletion:
+        outs = []
+    monkeypatch.undo()
+    assert len(built) == len(completions)
+    assert bool(outs) == (make is heawood)
