@@ -39,8 +39,9 @@ def normalize_endpoints(u: int, v: int) -> tuple[int, int]:
 def bfs_distances(
     adj: Sequence, src: int, radius: int | None = None, dist: list[int] | None = None
 ) -> list[int]:
-    """Distances from src over adjacency rows (a Graph's tuples, or the sets
-    of a search in progress); -1 where unreachable or beyond `radius`.
+    """Distances from src over adjacency rows (a Graph's tuples, or the view
+    of a search in progress, whose None rows are deleted vertices that no
+    row reaches); -1 where unreachable or beyond `radius`.
 
     Given `dist`, fills that list in place and treats its non-negative
     entries as visited, so one list can collect several components at the
@@ -290,52 +291,70 @@ def edit(
     appended, then the edges `add` inserted, built once.
 
     A removed edge may be added back. Raises NotAnEdge for a removal g does
-    not have, MultiEdge for an addition already present or repeated, SameEdge
-    for a loop and IndexOutOfRange for an endpoint outside the new order.
+    not have or one named twice, MultiEdge for an addition already present or
+    repeated, SameEdge for a loop and IndexOutOfRange for an endpoint outside
+    the new order.
     """
-    return _build(rows_without_edges(g, remove, new_vertices), add)
+    return _build([list(r) for r in rows_without_edges(g, remove, new_vertices)], add)
 
 
 def rows_without_edges(
     g: Graph, remove: Iterable[tuple[int, int]], new_vertices: int
-) -> list[list[int]]:
-    """g's rows as sorted lists, with the edges `remove` deleted and
-    `new_vertices` empty rows appended: the rows `edit` builds on."""
+) -> list[tuple[int, ...]]:
+    """A view of g's rows with the edges `remove` deleted and `new_vertices`
+    empty rows appended: the rows `edit` builds on. The two rows of each
+    removed edge are new tuples; every other row is g's own."""
     if new_vertices < 0:
         raise ParameterOutOfRange(f"cannot add {new_vertices} vertices")
-    rows = [list(r) for r in g.adjacency]
-    for u, v in {g.as_edge(e) for e in remove}:
-        rows[u].remove(v)
-        rows[v].remove(u)
-    rows.extend([] for _ in range(new_vertices))
+    rows = list(g.adjacency)
+    for e in remove:
+        u, v = g.as_edge(e)
+        if v not in rows[u]:
+            raise NotAnEdge(f"edge {u}-{v} is removed twice")
+        rows[u] = tuple([w for w in rows[u] if w != v])
+        rows[v] = tuple([w for w in rows[v] if w != u])
+    rows.extend(() for _ in range(new_vertices))
     return rows
 
 
-def rows_without_vertices(g: Graph, gone: Iterable[int]) -> tuple[list[list[int]], list]:
-    """g's rows as sorted lists, with the vertices `gone` deleted and the rest
-    relabeled in order; and the old->new map, None for a deleted vertex."""
-    gone_set = set(gone)
-    for v in gone_set:
-        _check_vertex(v, g.order)
+def rows_without_vertices(g: Graph, gone: Iterable[int]) -> list[tuple[int, ...] | None]:
+    """A view of g's rows with the vertices `gone` deleted and labels kept: a
+    deleted vertex's row is None, each row next to one is a new tuple without
+    it, and every other row is g's own. `compacted` relabels it."""
+    rows: list = list(g.adjacency)
+    n = len(rows)
+    gone = list(gone)
+    for v in gone:
+        if type(v) is not int or not 0 <= v < n:
+            _check_vertex(v, n)
+        if rows[v] is None:
+            raise IndexOutOfRange(f"vertex {v} is removed twice")
+        rows[v] = None
+    for v in gone:
+        for w in g.adjacency[v]:
+            if rows[w] is not None:
+                rows[w] = tuple([x for x in rows[w] if rows[x] is not None])
+    return rows
+
+
+def compacted(rows: Sequence[Sequence[int] | None]) -> tuple[list[list[int]], list]:
+    """The rows that are not None as lists, relabeled in order; and the
+    old->new map, None for a deleted vertex. No row may reach a None row."""
     relab: list = []
     nxt = 0
-    for v in range(g.order):
-        if v in gone_set:
+    for row in rows:
+        if row is None:
             relab.append(None)
         else:
             relab.append(nxt)
             nxt += 1
-    rows = [
-        [relab[w] for w in row if relab[w] is not None]
-        for v, row in enumerate(g.adjacency)
-        if relab[v] is not None
-    ]
-    return rows, relab
+    return [[relab[w] for w in row] for row in rows if row is not None], relab
 
 
 def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
-    """Delete vertices, compact labels; returns (graph, old->new map with None holes)."""
-    rows, relab = rows_without_vertices(g, gone)
+    """Delete vertices, compact labels; returns (graph, old->new map with None
+    holes). Raises IndexOutOfRange for a vertex g lacks or one named twice."""
+    rows, relab = compacted(rows_without_vertices(g, gone))
     return Graph(rows), relab
 
 

@@ -8,9 +8,12 @@ accepted completion is an isomorphism invariant, so only the first deletion
 met in each orbit is tried (Meringer, J. Graph Theory 30, 1999). The first
 admitting deletion is the first of its orbit, so the output is unchanged.
 
-A partial graph is only adjacency rows, compacted or cut by the row helpers
-that `graph.remove_vertices` and `graph.edit` build on; a `Graph` is built,
-and validated, only for a completion.
+A partial graph is a view of the parent's adjacency rows, from the row
+helpers that `graph.remove_vertices` and `graph.edit` build on: a deleted
+vertex's row is None, the rows next to a deletion are new tuples, and every
+other row is the parent's own, so a candidate deletion costs the rows it
+touches, not a copy. Labels stay the parent's until a completion is found;
+only then are the rows compacted and a `Graph` built, and validated.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .graph import (
     Graph,
     _build,
     bfs_distances,
+    compacted,
     rows_without_edges,
     rows_without_vertices,
 )
@@ -40,10 +44,17 @@ from .limits import Budget, coerce_budget
 
 
 def iter_completions(
-    rows: Sequence[Sequence[int]], k: int, target_girth: int, budget: Budget
+    rows: Sequence[Sequence[int] | None], k: int, target_girth: int, budget: Budget
 ) -> Iterator[list[tuple[int, int]]]:
-    """Edge sets completing the adjacency rows (a Graph's `adjacency`, or
-    lists) to k-regular with no added cycle below target.
+    """Edge sets completing the adjacency rows (a Graph's `adjacency`, or a
+    view from `rows_without_vertices` or `rows_without_edges`) to k-regular
+    with no added cycle below target.
+
+    A None row is an absent vertex: it has deficit 0 and no row reaches it,
+    so a view keeps its parent's labels and needs no compaction. The rows
+    are never written: an added edge replaces the two rows it joins in a
+    private copy of the list by new tuples, and backtracking puts the old
+    ones back.
 
     Branches on the smallest deficient vertex with ascending partners, so
     each completion set is produced exactly once. A child only adds edges
@@ -54,12 +65,12 @@ def iter_completions(
     additions shrink distances).
     """
     n = len(rows)
-    deficit = [k - len(row) for row in rows]
-    if any(d < 0 for d in deficit):
+    deficit = [0 if row is None else k - len(row) for row in rows]
+    if min(deficit, default=0) < 0:
         raise DegreeMismatch(f"a vertex already exceeds degree {k}")
     if sum(deficit) % 2 != 0:
         return
-    adj = [set(row) for row in rows]
+    adj = list(rows)
     chosen: list[tuple[int, int]] = []
 
     def search(start: int) -> Iterator[list[tuple[int, int]]]:
@@ -70,11 +81,13 @@ def iter_completions(
             return
         lo = chosen[-1][1] + 1 if chosen and chosen[-1][0] == u else u + 1
         near = bfs_distances(adj, u, target_girth - 2)
+        row_u = adj[u]
         for v in range(lo, n):
-            if deficit[v] == 0 or v in adj[u] or near[v] >= 0:
+            if deficit[v] == 0 or v in row_u or near[v] >= 0:
                 continue
-            adj[u].add(v)
-            adj[v].add(u)
+            row_v = adj[v]
+            adj[u] = (*row_u, v)
+            adj[v] = (*row_v, u)
             deficit[u] -= 1
             deficit[v] -= 1
             chosen.append((u, v))
@@ -82,8 +95,8 @@ def iter_completions(
             chosen.pop()
             deficit[u] += 1
             deficit[v] += 1
-            adj[u].discard(v)
-            adj[v].discard(u)
+            adj[u] = row_u
+            adj[v] = row_v
 
     yield from search(0)
 
@@ -117,48 +130,60 @@ def _one_per_orbit(
     """The items whose orbit under Aut(g) holds no earlier item.
 
     Items are sorted index tuples into a ground set, the vertices or the
-    edges of g, as `combinations` yields them. `action(g, p)` checks a
-    generator p and turns it into an index map q on that ground set, once
-    per generator; the image of x under it is its sorted tuple of q[i]. The
-    generators are fetched only when a second item is asked for, so a search
-    whose first deletion succeeds never needs them.
+    edges of g, as `combinations` yields them, and an orbit member is keyed
+    by the bit mask of its indices. `action(g, p)` checks a generator p and
+    turns it into an index map q on that ground set, once per generator,
+    kept with its row of bits 1 << q[i]. A member is expanded as an unsorted
+    index list x: its image has the mask summed from that row over x, and
+    the list [q[i] for i in x]. The generators are fetched only when a
+    second item is asked for, so a search whose first deletion succeeds
+    never needs them.
     """
+    items = iter(items)
     maps = None
-    pending: set = set()  # orbit members not met yet
+    pending: set[int] = set()  # masks of orbit members not met yet
     for item in items:
-        if item in pending:
-            pending.discard(item)  # each item is met once; free its slot
+        key = sum([1 << i for i in item])
+        if key in pending:
+            pending.discard(key)  # each item is met once; free its slot
             continue
         yield item
         if maps is None:
-            maps = [action(g, p) for p in automorphism_generators(g)]
+            maps = []
+            for p in automorphism_generators(g):
+                q = action(g, p)
+                maps.append((q, [1 << j for j in q].__getitem__))
+            if not maps:  # a trivial group: every orbit is one item
+                yield from items
+                return
         stack = [item]
-        orbit = {item}
+        orbit = {key}
         while stack:
             x = stack.pop()
-            for q in maps:
-                y = tuple(sorted([q[i] for i in x]))
+            for q, bit in maps:
+                y = sum(map(bit, x))
                 if y not in orbit:
                     orbit.add(y)
-                    stack.append(y)
-        orbit.discard(item)
+                    stack.append([q[i] for i in x])
+        orbit.discard(key)
         pending |= orbit
 
 
 def _vertex_partials(
     g: Graph, sets: Iterable[tuple[int, ...]], key: str
-) -> Iterator[tuple[Params, list[list[int]]]]:
-    """For one vertex set per orbit, in order: its params and the rows of g
-    without it, labels compacted as `remove_vertices` does."""
+) -> Iterator[tuple[Params, list]]:
+    """For one vertex set per orbit, in order: its params and the view of
+    g's rows without it, labels kept, from `rows_without_vertices`."""
     for gone in _one_per_orbit(g, sets, _on_vertices):
-        yield {key: list(gone)}, rows_without_vertices(g, gone)[0]
+        yield {key: list(gone)}, rows_without_vertices(g, gone)
 
 
 def _edge_partials(
     g: Graph, num_edges: int, num_vertices: int
-) -> Iterator[tuple[Params, list[list[int]]]]:
+) -> Iterator[tuple[Params, list]]:
     """For one set of num_edges edges per orbit, in order: its params and the
-    rows of g without them, plus num_vertices empty rows, as `edit` builds."""
+    view of g's rows without them, plus num_vertices empty rows, from
+    `rows_without_edges`."""
     edges = g.edges()
     picks = combinations(range(len(edges)), num_edges)
     for picked in _one_per_orbit(g, picks, _edge_map):
@@ -180,7 +205,7 @@ def _girth_at_least(g: Graph, floor: int) -> bool:
 
 
 def _rewire(
-    partials: Iterable[tuple[Params, list[list[int]]]],
+    partials: Iterable[tuple[Params, list]],
     k: int,
     target_girth: int,
     accept: Callable[[Graph], bool],
@@ -189,18 +214,22 @@ def _rewire(
 ) -> Iterator[Emitted]:
     """Accepted completions of the first partial graph that has any.
 
-    Each partial is adjacency rows with the params that rebuild it; a
-    completion adds its edge list as "edges" and is the one Graph built.
-    Raises failure when no partial has one.
+    Each partial is a view of the parent's rows with the params that
+    rebuild it. A completion is the one place the view is compacted: its
+    edges are relabeled as `remove_vertices` labels the partial, added as
+    "edges", and the Graph on them is the one built. Raises failure when no
+    partial has one.
     """
     budget = coerce_budget(budget)
     for head, rows in partials:
         found = False
         for completion in iter_completions(rows, k, target_girth, budget):
-            out = _build([list(r) for r in rows], completion)
+            kept, relab = compacted(rows)
+            edges = [[relab[u], relab[v]] for u, v in completion]
+            out = _build(kept, edges)
             if accept(out):
                 found = True
-                yield {**head, "edges": [list(e) for e in completion]}, out
+                yield {**head, "edges": edges}, out
         if found:
             return
     raise failure

@@ -198,7 +198,14 @@ def test_edit_is_the_old_surgery_chain():
 def test_edit_adds_a_removed_edge_back():
     c5 = cycle_graph(5)
     assert edit(c5, remove=[(0, 1)], add=[(1, 0)]) == c5
-    assert edit(c5, remove=[(0, 1), (1, 0)]).size == 4  # one edge, named twice
+
+
+def test_a_repeated_removal_raises():
+    """An edge or a vertex named twice is an error, not one removal."""
+    with pytest.raises(NotAnEdge):
+        edit(petersen(), remove=[(0, 1), (1, 0)])
+    with pytest.raises(IndexOutOfRange):
+        remove_vertices(petersen(), [3, 3])
 
 
 def test_edit_errors():

@@ -14,13 +14,22 @@ from cagekit.constructions import (
     iter_subdivide_three,
     iter_subdivide_two,
 )
-from cagekit.errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
+from cagekit.errors import (
+    CagekitError,
+    MalformedInput,
+    NoCandidate,
+    NotAnEdge,
+    ParameterOutOfRange,
+    ReplayMismatch,
+    UnknownOperation,
+)
 from cagekit.families import circulant44, gdgp, GdgpSpec, quartic_parity_graph
 from cagekit.named import complete_bipartite, complete_graph, heawood, petersen
 from cagekit.graph import edit
 from cagekit.recipes import (
     OPERATIONS,
     Recipe,
+    apply_operation,
     construct,
     read_recipes,
     replay,
@@ -183,6 +192,17 @@ def test_replay_of_moore_double_with_a_bad_matching(alter):
     r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
     with pytest.raises(ParameterOutOfRange, match="not a permutation"):
         replay(r, make_resolver(p))
+
+
+def test_a_repeated_removal_is_a_bug_not_one_removal():
+    """Operations and recipes that name an edge or a vertex twice raise an
+    error the spectrum engine does not read as "no candidate"."""
+    p = petersen()
+    with pytest.raises(NotAnEdge):
+        apply_operation("subdivide_two", (p,), {"e1": [0, 1], "e2": [0, 1]})
+    with pytest.raises(CagekitError) as err:
+        apply_operation("delete_vertices", (p,), {"removed": [3, 3], "edges": []})
+    assert not isinstance(err.value, NoCandidate)
 
 
 def test_replay_mismatch_detected():

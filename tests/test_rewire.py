@@ -22,7 +22,14 @@ from cagekit.errors import (
     TooManyVertices,
 )
 from cagekit.families import circulant44
-from cagekit.graph import ACYCLIC, Graph, edit, relabeled
+from cagekit.graph import (
+    ACYCLIC,
+    Graph,
+    compacted,
+    edit,
+    relabeled,
+    rows_without_vertices,
+)
 from cagekit.limits import Budget
 from cagekit.named import (
     complete_bipartite,
@@ -305,7 +312,7 @@ def _oracle_graphs() -> list[Graph]:
 
 
 def _as_rows(partials) -> list:
-    return [(params, tuple(map(tuple, rows))) for params, rows in partials]
+    return [(params, tuple(map(tuple, compacted(rows)[0]))) for params, rows in partials]
 
 
 def _as_adjacency(partials) -> list:
@@ -313,8 +320,9 @@ def _as_adjacency(partials) -> list:
 
 
 def test_orbits_and_partials_match_the_set_keyed_oracle():
-    """Index-tuple orbits and bare rows give the representatives, params and
-    rows of frozenset orbit keys and built partial Graphs."""
+    """Bit-mask orbits and row views give the representatives, params and,
+    once compacted, the rows of frozenset orbit keys and built partial
+    Graphs."""
     trees = 0
     for g in _oracle_graphs():
         for size in (1, 2, 3):
@@ -339,6 +347,29 @@ def test_orbits_and_partials_match_the_set_keyed_oracle():
     assert trees > 0
 
 
+def _spent_completions(rows, target_girth: int) -> tuple[list, int]:
+    budget = Budget(10**7)
+    found = list(iter_completions(rows, 3, target_girth, budget))
+    return found, 10**7 - budget.remaining
+
+
+def test_completions_of_a_view_are_those_of_its_compacted_rows():
+    """A view keeps the parent's labels, which compaction maps monotonely:
+    the same completions in the same order, relabeled, for the same steps."""
+    searched = 0
+    for g in _oracle_graphs():
+        for size in (1, 2, 3):
+            for gone in combinations(range(g.order), size):
+                view = rows_without_vertices(g, gone)
+                kept, relab = compacted(view)
+                on_view, view_steps = _spent_completions(view, g.girth())
+                on_kept, kept_steps = _spent_completions(kept, g.girth())
+                assert [[(relab[u], relab[v]) for u, v in c] for c in on_view] == on_kept
+                assert view_steps == kept_steps
+                searched += bool(on_kept)
+    assert searched > 0
+
+
 @pytest.mark.parametrize(
     "make, search",
     [
@@ -349,11 +380,13 @@ def test_orbits_and_partials_match_the_set_keyed_oracle():
     ids=["petersen-2-vertices", "tutte-coxeter-2-edges", "heawood-3-edges"],
 )
 def test_a_graph_is_built_only_for_a_completion(monkeypatch, make, search):
-    """Partials are rows: a search builds one Graph per completion it tries
-    and none for a partial."""
+    """Partials are views: a search builds one Graph per completion it tries
+    and none for a partial, and a partial's rows that no deletion touches
+    are the parent's own row objects."""
     g = make()
     built = []
     completions = []
+    partials = []
     init = Graph.__init__
     complete = rewire.iter_completions
 
@@ -361,8 +394,9 @@ def test_a_graph_is_built_only_for_a_completion(monkeypatch, make, search):
         built.append(self)
         init(self, adjacency)
 
-    def counting_completions(*args):
-        for completion in complete(*args):
+    def counting_completions(rows, *args):
+        partials.append(rows)
+        for completion in complete(rows, *args):
             completions.append(completion)
             yield completion
 
@@ -375,3 +409,12 @@ def test_a_graph_is_built_only_for_a_completion(monkeypatch, make, search):
     monkeypatch.undo()
     assert len(built) == len(completions)
     assert bool(outs) == (make is heawood)
+    assert partials
+    for rows in partials:
+        cut = [(u, v) for u, v in g.edges()
+               if rows[u] is None or rows[v] is None or v not in rows[u]]
+        touched = {v for e in cut for v in e}
+        assert cut and all(
+            rows[v] is g.adjacency[v] for v in range(g.order) if v not in touched
+        )
+        assert all(row == () for row in rows[g.order:])
