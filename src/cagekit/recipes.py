@@ -26,9 +26,14 @@ from .constructions import (
     iter_subdivide_two,
 )
 from .errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
-from .graph import Graph, edit, remove_vertices
+from .graph import Graph, edit
 from .limits import Budget
-from .rewire import iter_delete_edges_add_vertices, iter_delete_vertices, iter_remove_biggs_tree
+from .rewire import (
+    apply_delete_vertices,
+    iter_delete_edges_add_vertices,
+    iter_delete_vertices,
+    iter_remove_biggs_tree,
+)
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ class Operation:
     recipe replays it.
 
     - `apply(parents, params)` replays a recipe; it reads params through
-      the typed readers of `_Params`.
+      the typed readers of `_Params` and builds by the rule of the module
+      that grows the operation, so replay rebuilds what grow emits.
     - `grow(parents, budget, **options)` yields (params, graph), as `apply`
       takes the parents: `()`, `(g,)` or `(g1, g2)`. Its keywords after the
       budget are its `options`, which `construct` accepts and the CLI fills
@@ -97,11 +103,11 @@ class Operation:
         return dict(list(params.items())[2:])
 
 
-def _grow_amalgams(parents, budget, tries):
-    """Amalgams of the pair over its first `tries` edges each, of any girth."""
+def _grow_amalgams(parents, budget):
+    """Amalgams of the pair over every edge of each, of any girth."""
     g1, g2 = parents
-    for e1 in g1.edges()[:tries]:
-        for e2 in g2.edges()[:tries]:
+    for e1 in g1.edges():
+        for e2 in g2.edges():
             for mode in AMALGAMATE_MODES:
                 out = amalgamate(g1, g2, e1, e2, mode)
                 yield {"e1": list(e1), "e2": list(e2), "mode": mode}, out
@@ -129,7 +135,9 @@ def _grow_matching(parents, budget):
 
 
 def _grow_circulant(parents, budget, n):
-    yield {"n": n, "S": [1, 3, n - 3, n - 1]}, families.circulant44(n)
+    g = families.circulant44(n)
+    # A circulant's connecting set is the neighbourhood of vertex 0.
+    yield {"n": n, "S": list(g.neighbors(0))}, g
 
 
 def _grow_parity(parents, budget, n):
@@ -141,13 +149,6 @@ def _apply_delete_edges_add_vertices(parents, params):
         parents[0], remove=params.edges("removed"), new_vertices=params.integer("added"),
         add=params.edges("edges"),
     )
-
-
-def _apply_remove_vertices(key: str):
-    def apply(parents, params):
-        kept = remove_vertices(parents[0], params.integers(key))[0]
-        return edit(kept, add=params.edges("edges"))
-    return apply
 
 
 # Table order is the engine's order of trial for each k.
@@ -206,12 +207,12 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     ),
     Operation(
         "remove_biggs_tree", 1,
-        _apply_remove_vertices("tree"),
+        lambda ps, p: apply_delete_vertices(ps[0], p.integers("tree"), p.edges("edges")),
         grow=lambda ps, budget: iter_remove_biggs_tree(ps[0], budget),
     ),
     Operation(
         "delete_vertices", 1,
-        _apply_remove_vertices("removed"),
+        lambda ps, p: apply_delete_vertices(ps[0], p.integers("removed"), p.edges("edges")),
         grow=lambda ps, budget, vertices, target_girth=None: iter_delete_vertices(
             ps[0], vertices, target_girth, budget
         ),

@@ -235,6 +235,15 @@ def _rewire(
     raise failure
 
 
+def apply_delete_vertices(
+    g: Graph, removed: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> Graph:
+    """g without the vertices `removed`, relabeled by `compacted`, plus the
+    edges `edges` in the new labels: a vertex deletion's completion, built
+    once, as `_rewire` builds it."""
+    return _build(compacted(rows_without_vertices(g, removed))[0], edges)
+
+
 def iter_delete_edges_add_vertices(
     g: Graph,
     num_edges: int,
@@ -279,6 +288,8 @@ def iter_delete_vertices(
     if target_girth < 3:
         raise ParameterOutOfRange("target girth must be at least 3")
     rest = g.order - num_vertices
+    if rest <= k:
+        raise NoCompletion(f"no {k}-regular graph has only {rest} vertices")
     if k * rest % 2 != 0:
         raise NoCompletion(
             f"{k}-regular graphs of order {rest} fail the parity condition"

@@ -43,12 +43,11 @@ _EXCLUDED = (
 # Every operation the engine tries for some degree, in the table's order.
 DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
 
-# Search policy. The shipped reports depend on these values.
-# (k,g)-graphs kept per order as parents. Every scan stops at the commit that
-# realizes its order, so a constructed order stores one graph; only seeds of
-# the same order fill more slots.
+# Search policy: (k,g)-graphs kept per order as parents. The shipped reports
+# depend on it. Every scan stops at the commit that realizes its order, so a
+# constructed order stores one graph; only seeds of the same order fill more
+# slots.
 _REPS_PER_ORDER = 4
-_AMALGAM_TRIES = 15  # edges of each graph an amalgam pair joins at
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ class _Engine:
                     for b in (o for o in orders if o >= a and o + a <= self.horizon):
                         if self.state[a + b] is OrderState.UNRESOLVED:
                             pair = (self.reps[a][0], self.reps[b][0])
-                            changed |= self._scan(op, pair, {"tries": _AMALGAM_TRIES})
+                            changed |= self._scan(op, pair, {})
 
     def _scan(self, op: Operation, parents: tuple[str, ...], kw: dict) -> bool:
         """Commit what op grows from the stored parents until an order is

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import inspect
+import random
 from itertools import islice
 
 import pytest
 
+from cagekit import graph6
 from cagekit.canon import certificate
 from cagekit.constructions import (
     find_perfect_matching,
@@ -24,8 +26,16 @@ from cagekit.errors import (
     UnknownOperation,
 )
 from cagekit.families import circulant44, gdgp, GdgpSpec, quartic_parity_graph
-from cagekit.named import complete_bipartite, complete_graph, heawood, petersen
-from cagekit.graph import edit
+from cagekit.named import (
+    complete_bipartite,
+    complete_graph,
+    heawood,
+    mcgee,
+    petersen,
+    tutte_coxeter,
+)
+from cagekit.graph import Graph, check_kg, edit
+from cagekit.limits import Budget
 from cagekit.recipes import (
     OPERATIONS,
     Recipe,
@@ -41,6 +51,8 @@ from cagekit.rewire import (
     iter_delete_vertices,
     iter_remove_biggs_tree,
 )
+from conftest import SEED34
+from helpers import shuffled
 
 
 def make_resolver(*graphs):
@@ -329,7 +341,7 @@ def test_every_operation_replays():
 
 # name -> (parent, grow keywords); a pair for amalgamate
 GROW_CASES = {
-    "amalgamate": ((petersen(), heawood()), {"tries": 3}),
+    "amalgamate": ((petersen(), heawood()), {}),
     "subdivide_two": (petersen(), {}),
     "subdivide_three": (petersen(), {"target_girth": 5}),
     "subdivide_merge": (complete_graph(5), {}),
@@ -360,6 +372,44 @@ def test_replay_rebuilds_what_grow_emits_label_for_label(name):
     resolve = make_resolver(*parents)
     for params, out in grown:
         assert replay(recorded(name, parents, params, out), resolve) == out
+
+
+@pytest.mark.parametrize("name", ["delete_vertices", "remove_biggs_tree", "delete_edges_add_vertices"])
+def test_a_rewiring_replay_builds_one_graph(monkeypatch, name):
+    """A rewiring recipe replays by its search's rule: one Graph, built on
+    the compacted view of the parent's rows."""
+    parent, kw = GROW_CASES[name]
+    [(params, out), *_] = construct(name, parent, **kw)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, adjacency):
+        built.append(self)
+        init(self, adjacency)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    replayed = apply_operation(name, (parent,), params)
+    monkeypatch.undo()
+    assert replayed == out
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("first, second", [
+    (petersen, petersen), (heawood, heawood), (mcgee, mcgee),
+    (tutte_coxeter, lambda: graph6.read_file(SEED34)[0]),
+], ids=["petersen", "heawood", "mcgee", "tutte_coxeter-seed34"])
+def test_first_amalgam_of_equal_girth_cubic_graphs_keeps_the_girth(first, second, seed):
+    """A cross amalgam keeps every shortest cycle that avoids the two cut
+    edges, and each new cycle crosses both join edges, so it is at least
+    twice the girth long. The girth drops only when a cut edge lies on
+    every shortest cycle of its graph, so the engine's amalgam scan needs
+    no edge cap: its first output is already a (3,g)-graph."""
+    rng = random.Random(seed)
+    g1, g2 = shuffled(first(), rng), shuffled(second(), rng)
+    assert g1.girth() == g2.girth()
+    _, out = next(OPERATIONS["amalgamate"].grow((g1, g2), Budget()))
+    assert check_kg(out, 3, g1.girth()) is None
 
 
 def test_line_round_trip_for_every_operation():

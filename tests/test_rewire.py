@@ -189,6 +189,14 @@ def test_delete_vertices_guards():
         construct("delete_vertices", petersen(), 2, vertices=2)
 
 
+@pytest.mark.parametrize("n, vertices", [(4, 4), (5, 1)])
+def test_delete_vertices_refuses_k_or_fewer_survivors(n, vertices):
+    """No k-regular simple graph has k or fewer vertices, so such a deletion
+    is refused before any search, and emits no graph of order n - vertices."""
+    with pytest.raises(NoCompletion, match="regular graph has only"):
+        construct("delete_vertices", complete_graph(n), vertices=vertices)
+
+
 def test_biggs_excision_sizes():
     assert [biggs_excision_size(g) for g in (5, 6, 7, 8, 9, 10, 12)] == [
         2, 4, 4, 6, 6, 10, 14,
