@@ -33,21 +33,8 @@ class OrderState(Enum):
     UNRESOLVED = "Unresolved"
 
 
-_EXCLUDED = (
-    OrderState.EXCLUDED_PARITY,
-    OrderState.EXCLUDED_BELOW_MOORE,
-    OrderState.EXCLUDED_EXCESS,
-    OrderState.EXCLUDED_CITED,
-)
-
 # Every operation the engine tries for some degree, in the table's order.
 DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
-
-# Search policy: (k,g)-graphs kept per order as parents. The shipped reports
-# depend on it. Every scan stops at the commit that realizes its order, so a
-# constructed order stores one graph; only seeds of the same order fill more
-# slots.
-_REPS_PER_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -76,9 +63,18 @@ class SpectrumReport:
     g: int
     horizon: int
     statuses: tuple[OrderStatus, ...]
-    n_kg: int | None
     provenance: tuple[Recipe, ...] = ()
     truncated: bool = False  # the budget stopped the run
+
+    @property
+    def n_kg(self) -> int | None:
+        """The smallest Realized order, unless an Unresolved order is smaller."""
+        for s in self.statuses:
+            if s.state is OrderState.REALIZED:
+                return s.n
+            if s.state is OrderState.UNRESOLVED:
+                return None
+        return None
 
     @property
     def N_candidate(self) -> int | None:
@@ -131,9 +127,11 @@ class _Engine:
         self.budget = Budget(config.budget)
         # Every stored graph by certificate, with the recipe that made it.
         self.records: dict[str, tuple[Graph, Recipe]] = {}
-        # Certificates by order; reps[n][0] is the witness for order n.
+        # Certificates by order; reps[n][0] is the witness for order n, and
+        # an order is Realized exactly when it has an entry here.
         self.reps: dict[int, list[str]] = {}
-        self.state: dict[int, OrderState] = {}
+        # The orders a bound or a citation rules out, fixed before any search.
+        self.excluded: dict[int, OrderState] = {}
         self.ops = {
             arity: [
                 op for op in OPERATIONS.values()
@@ -148,15 +146,13 @@ class _Engine:
             raise HorizonTooSmall(f"horizon {horizon} below smallest order {k + 1}")
         for n in range(k + 1, horizon + 1):
             if n < moore_bound(k, g):
-                self.state[n] = OrderState.EXCLUDED_BELOW_MOORE
+                self.excluded[n] = OrderState.EXCLUDED_BELOW_MOORE
             elif not parity_admissible(k, n):
-                self.state[n] = OrderState.EXCLUDED_PARITY
+                self.excluded[n] = OrderState.EXCLUDED_PARITY
             elif (k, g, n) in citations:
-                self.state[n] = OrderState.EXCLUDED_CITED
+                self.excluded[n] = OrderState.EXCLUDED_CITED
             elif excluded_by_excess(k, g, n):
-                self.state[n] = OrderState.EXCLUDED_EXCESS
-            else:
-                self.state[n] = OrderState.UNRESOLVED
+                self.excluded[n] = OrderState.EXCLUDED_EXCESS
         for seed in seeds:
             reason = check_kg(seed, k, g)
             if reason is not None:
@@ -165,36 +161,40 @@ class _Engine:
                 raise HorizonTooSmall(
                     f"horizon {horizon} below seed order {seed.order}"
                 )
+            if self.excluded.get(seed.order) is OrderState.EXCLUDED_CITED:
+                raise BadSeed(
+                    f"seed of order {seed.order}, which the citation "
+                    f"{citations[(k, g, seed.order)]!r} excludes"
+                )
             self.commit(seed, "seed", (), {})
 
     def commit(self, graph: Graph, op: str, parents: tuple[str, ...], params: dict) -> bool:
         """Store a (k,g)-graph within the horizon under its certificate and
-        drop any other candidate. True when an order moves to Realized."""
+        drop any other candidate. True when it is the first for its order."""
         n = graph.order
         if n > self.horizon or check_kg(graph, self.k, self.g) is not None:
             return False
-        st = self.state[n]
-        if st in _EXCLUDED:
+        if n in self.excluded:
             raise SpecViolation(
                 f"constructed a ({self.k},{self.g})-graph of order {n}, "
-                f"but that order is marked {st.value}"
+                f"but that order is marked {self.excluded[n].value}"
             )
         cert = certificate(graph)
         if cert in self.records:
             return False
         self.records[cert] = (graph, Recipe(op, parents, params, cert))
-        bucket = self.reps.setdefault(n, [])
-        if len(bucket) < _REPS_PER_ORDER:
-            bucket.append(cert)
-        if st is OrderState.REALIZED:
-            return False
-        self.state[n] = OrderState.REALIZED
-        return True
+        first = n not in self.reps
+        self.reps.setdefault(n, []).append(cert)
+        return first
+
+    def _open(self, n: int) -> bool:
+        """Neither Realized nor Excluded: the orders a search still asks for."""
+        return n not in self.reps and n not in self.excluded
 
     def _seed_generators(self) -> None:
         for op in self.ops[0]:
             for n in range(self.k + 1, self.horizon + 1):
-                if self.state[n] is OrderState.UNRESOLVED:
+                if self._open(n):
                     self._attempt(n, op)
 
     def _amalgam_closure(self) -> None:
@@ -210,7 +210,7 @@ class _Engine:
                 orders = sorted(self.reps)
                 for a in orders:
                     for b in (o for o in orders if o >= a and o + a <= self.horizon):
-                        if self.state[a + b] is OrderState.UNRESOLVED:
+                        if self._open(a + b):
                             pair = (self.reps[a][0], self.reps[b][0])
                             changed |= self._scan(op, pair, {})
 
@@ -236,7 +236,7 @@ class _Engine:
     def _construct_pass(self) -> bool:
         changed = False
         for n in range(self.k + 1, self.horizon + 1):
-            if self.state[n] is not OrderState.UNRESOLVED:
+            if not self._open(n):
                 continue
             ops = list(self.ops[1])
             if self.rng is not None:
@@ -292,29 +292,18 @@ class _Engine:
             visit(self.reps[n][0])
         return tuple(ordered)
 
+    def _status(self, n: int) -> OrderStatus:
+        if n in self.reps:
+            return OrderStatus(n, OrderState.REALIZED, self.records[self.reps[n][0]][1])
+        st = self.excluded.get(n, OrderState.UNRESOLVED)
+        if st is OrderState.EXCLUDED_CITED:
+            return OrderStatus(n, st, citation=self.citations[(self.k, self.g, n)])
+        return OrderStatus(n, st)
+
     def _report(self, truncated: bool) -> SpectrumReport:
-        statuses = []
-        for n in range(self.k + 1, self.horizon + 1):
-            st = self.state[n]
-            cited = st is OrderState.EXCLUDED_CITED
-            citation = self.citations[(self.k, self.g, n)] if cited else None
-            witness = self.records[self.reps[n][0]][1] if n in self.reps else None
-            statuses.append(OrderStatus(n, st, witness, citation))
-        n_kg = None
-        for status in statuses:
-            if status.state is OrderState.REALIZED:
-                n_kg = status.n
-                break
-            if status.state is OrderState.UNRESOLVED:
-                break
+        statuses = tuple(self._status(n) for n in range(self.k + 1, self.horizon + 1))
         return SpectrumReport(
-            self.k,
-            self.g,
-            self.horizon,
-            tuple(statuses),
-            n_kg,
-            self._provenance(),
-            truncated,
+            self.k, self.g, self.horizon, statuses, self._provenance(), truncated
         )
 
 

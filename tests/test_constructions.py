@@ -51,7 +51,7 @@ from cagekit.named import (
     petersen,
     tutte_coxeter,
 )
-from cagekit.recipes import construct
+from cagekit.recipes import apply_operation, construct
 import canon_oracle
 import scan_oracle
 from helpers import random_graph, shuffled
@@ -374,6 +374,21 @@ def test_perfect_matching_removal():
     assert_regular(h, 3, 8, 4)
     [(_, h)] = construct("remove_perfect_matching", complete_bipartite(5, 5))
     assert_regular(h, 4, 10, 4)
+
+
+def test_perfect_matching_removal_of_a_non_bipartite_graph(monkeypatch):
+    searched = []
+    backtrack = constructions._backtracking_matching
+
+    def counted(g, budget):
+        searched.append(g.order)
+        return backtrack(g, budget)
+
+    monkeypatch.setattr(constructions, "_backtracking_matching", counted)
+    [(params, h)] = construct("remove_perfect_matching", petersen())
+    assert searched == [10]
+    assert h.order == 10 and h.regularity() == 2
+    assert apply_operation("remove_perfect_matching", (petersen(),), params) == h
 
 
 def test_perfect_matching_rejects():

@@ -22,8 +22,17 @@ from cagekit.errors import (
     UnknownOperation,
 )
 from cagekit.graph import check_kg
-from cagekit.named import complete_bipartite, complete_graph, cycle_graph, heawood, petersen
-from cagekit.recipes import verified_replay
+from cagekit.named import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    heawood,
+    kneser_petersen,
+    lcf_graph,
+    petersen,
+    tutte_coxeter,
+)
+from cagekit.recipes import construct, verified_replay
 from cagekit.spectrum import (
     OrderState,
     SearchConfig,
@@ -147,14 +156,56 @@ def test_horizon_too_small():
 
 
 def test_wrong_citation_detected():
-    from cagekit.recipes import construct
+    # A constructed graph at an order the citations exclude is a bug.
+    [(params, twelve)] = construct("subdivide_two", petersen())
+    citations = {(3, 5, 12): "claimed impossible"}
+    engine = spectrum._Engine(3, 5, [petersen()], 20, SearchConfig(), citations)
+    [ten] = engine.reps[10]
+    with pytest.raises(SpecViolation, match="order 12, but that order is marked ExcludedCited"):
+        engine.commit(twelve, "subdivide_two", (ten,), params)
 
+
+def test_a_seed_at_a_cited_order_is_a_bad_seed():
+    # A seed at an order the citations exclude is the user's input, not a bug.
+    with pytest.raises(BadSeed, match="order 10, which the citation 'x' excludes"):
+        spectrum_search(3, 5, [petersen()], 20, citations={(3, 5, 10): "x"})
     [(_, twelve)] = construct("subdivide_two", petersen())
     citations = {(3, 5, 12): "claimed impossible"}
-    with pytest.raises(SpecViolation):
-        spectrum_search(
-            3, 5, [petersen(), twelve], 20, SearchConfig(), citations
-        )
+    with pytest.raises(BadSeed, match="order 12, which the citation 'claimed impossible'"):
+        spectrum_search(3, 5, [petersen(), twelve], 20, SearchConfig(), citations)
+
+
+def test_isomorphic_seeds_store_one_graph():
+    seeds = [petersen(), kneser_petersen()]
+    engine = spectrum._Engine(3, 5, seeds, 20, SearchConfig(), {})
+    assert engine.reps == {10: [certificate(petersen())]}
+    assert len(engine.records) == 1
+    alone = render_report(spectrum_search(3, 5, [petersen()], 20))
+    assert render_report(spectrum_search(3, 5, seeds, 20)) == alone
+
+
+def test_every_seed_class_of_an_order_is_kept():
+    cube, wagner = lcf_graph(8, [3, -3], 4), lcf_graph(8, [4], 8)
+    assert check_kg(cube, 3, 4) is None and check_kg(wagner, 3, 4) is None
+    assert certificate(cube) != certificate(wagner)
+    engine = spectrum._Engine(3, 4, [cube, wagner], 20, SearchConfig(), {})
+    assert engine.reps[8] == [certificate(cube), certificate(wagner)]
+    eight = next(s for s in engine.run().statuses if s.n == 8)
+    assert eight.state is OrderState.REALIZED
+    assert eight.witness.operation == "seed"
+    assert eight.witness.output_cert == certificate(cube)
+
+
+def test_engine_excludes_an_order_by_excess():
+    # No citations: order 32 of (3,8) falls to the excess bound. The cited
+    # fixture reads ExcludedCited there instead, because a citation comes
+    # first in the precedence.
+    report = spectrum_search(3, 8, [tutte_coxeter()], 34)
+    states = {s.n: s.state for s in report.statuses}
+    assert states[30] is OrderState.REALIZED
+    assert states[32] is OrderState.EXCLUDED_EXCESS
+    assert states[34] is OrderState.UNRESOLVED
+    assert report.n_kg == 30
 
 
 def test_deterministic_reports():
@@ -229,6 +280,24 @@ def test_readme_lists_the_default_constructions_in_order():
         text = " ".join(fh.read().split())
     listed = text.split("`--constructions` takes", 1)[1].split("(all of them by default)", 1)[0]
     assert tuple(re.findall(r"`(\w+)`", listed)) == spectrum.DEFAULT_CONSTRUCTIONS
+
+
+def test_readme_library_tour_runs_as_its_comments_say(capsys):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    tour = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(tour, "README.md", "exec"), scope)
+    assert scope["twelve"].order == 12 and check_kg(scope["twelve"], 3, 5) is None
+    assert scope["big"].order == 48 and check_kg(scope["big"], 3, 8) is None
+    assert certificate(scope["ten"]) == certificate(petersen())
+    assert scope["grown"]
+    assert all(out.order == 46 and check_kg(out, 3, 8) is None for _, out in scope["grown"])
+    printed = capsys.readouterr().out
+    report = scope["report"]
+    assert printed == render_report(report) + "\n10\n"
+    assert set(evens(10, 40)) <= set(report.realized_orders())
+    assert report.unresolved_orders() == []
 
 
 @pytest.mark.parametrize("g", [3, 5, 7])
