@@ -186,16 +186,11 @@ def iter_subdivide_merge(
 ) -> Iterator[Emitted]:
     if g.regularity() != 4:
         raise NotTetravalent("subdivide-and-merge needs a 4-regular input")
-    required = _required_girth(g, target_girth)
-    # edge distance 2 or more also means the two edges share no vertex
-    for e1, e2 in _far_pairs(g, max(required - 2, 2), coerce_budget(budget)):
-        h = apply_subdivide_merge(g, e1, e2)
-        # the distance floor alone permits a (required-1)-cycle through the
-        # merged vertex, so each output is gated on its actual girth
-        hg = h.girth()
-        if hg is ACYCLIC or hg < required:
-            continue
-        yield {"e1": list(e1), "e2": list(e2)}, h
+    # a cycle through the merged vertex runs between ends of the two edges,
+    # so it is at least one longer than their edge distance
+    floor = _required_girth(g, target_girth) - 1
+    for e1, e2 in _far_pairs(g, floor, coerce_budget(budget)):
+        yield {"e1": list(e1), "e2": list(e2)}, apply_subdivide_merge(g, e1, e2)
 
 
 def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:

@@ -17,6 +17,7 @@ only then are the rows compacted and a `Graph` built, and validated.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -313,39 +314,31 @@ def biggs_excision_size(girth: int) -> int:
     return 3 * 2**r - 2
 
 
-def _connected_subsets(g: Graph, root: int, size: int) -> Iterator[list[int]]:
-    """Connected vertex sets of the given size whose minimum is root."""
+def _induced_trees(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
+    """Vertex sets of the given size that induce a tree, each sorted.
 
-    def grow(chosen: list[int], banned: frozenset[int]) -> Iterator[list[int]]:
+    Sets grow from their least vertex, one neighbour at a time, in
+    ascending order; each branch bans its own vertex and those its earlier
+    siblings took, so each set is met once. A neighbour of two members
+    closes a cycle that every larger set keeps, so it is banned but not
+    grown into.
+    """
+
+    def grow(chosen: list[int], banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
         if len(chosen) == size:
-            yield sorted(chosen)
+            yield tuple(sorted(chosen))
             return
-        members = set(chosen)
-        ext = sorted(
-            w
-            for v in chosen
-            for w in g.neighbors(v)
-            if w > root and w not in members and w not in banned
+        links = Counter(
+            w for v in chosen for w in g.adjacency[v]
+            if w > chosen[0] and w not in banned
         )
-        seen: set[int] = set()
-        for c in ext:
-            if c in seen:
-                continue
-            seen.add(c)
-            yield from grow(chosen + [c], banned | frozenset(seen - {c}) | frozenset([c]))
+        for c in sorted(links):
+            banned |= {c}
+            if links[c] == 1:
+                yield from grow(chosen + [c], banned)
 
-    yield from grow([root], frozenset())
-
-
-def _induced_trees(g: Graph, size: int) -> Iterator[list[int]]:
     for root in range(g.order):
-        for subset in _connected_subsets(g, root, size):
-            members = set(subset)
-            inner = sum(
-                1 for v in subset for w in g.neighbors(v) if w in members
-            )
-            if inner == 2 * (size - 1):
-                yield subset
+        yield from grow([root], frozenset())
 
 
 def iter_remove_biggs_tree(
@@ -360,7 +353,7 @@ def iter_remove_biggs_tree(
     size = biggs_excision_size(gg)
     yield from islice(
         _rewire(
-            _vertex_partials(g, map(tuple, _induced_trees(g, size)), "tree"),
+            _vertex_partials(g, _induced_trees(g, size), "tree"),
             3, gg - 1, lambda out: out.girth() == gg - 1, budget,
             NoCompletion(f"no induced {size}-vertex tree admits a rewiring"),
         ),

@@ -191,12 +191,6 @@ class _Engine:
         """Neither Realized nor Excluded: the orders a search still asks for."""
         return n not in self.reps and n not in self.excluded
 
-    def _seed_generators(self) -> None:
-        for op in self.ops[0]:
-            for n in range(self.k + 1, self.horizon + 1):
-                if self._open(n):
-                    self._attempt(n, op)
-
     def _amalgam_closure(self) -> None:
         """Mark a+b Realized for Realized a, b; runs to a fixed point.
 
@@ -233,24 +227,26 @@ class _Engine:
                 return True
         return False
 
-    def _construct_pass(self) -> bool:
+    def _pass(self, ops: list[Operation], rng: random.Random | None) -> bool:
+        """Try ops on each open order upward, shuffled per order by rng when
+        one is given; True when some order is realized."""
         changed = False
         for n in range(self.k + 1, self.horizon + 1):
             if not self._open(n):
                 continue
-            ops = list(self.ops[1])
-            if self.rng is not None:
-                self.rng.shuffle(ops)
-            changed |= any(self._attempt(n, op) for op in ops)
+            order = list(ops)
+            if rng is not None:
+                rng.shuffle(order)
+            changed |= any(self._attempt(n, op) for op in order)
         return changed
 
     def run(self) -> SpectrumReport:
         """Generators, then construction passes until one realizes nothing."""
         truncated = False
         try:
-            self._seed_generators()
+            self._pass(self.ops[0], None)
             self._amalgam_closure()
-            while self._construct_pass():
+            while self._pass(self.ops[1], self.rng):
                 self._amalgam_closure()
         except BudgetExhausted:
             truncated = True

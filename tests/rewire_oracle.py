@@ -1,10 +1,12 @@
 """Reference orbit pruning and partial graphs for the rewiring searches.
 
-These are the plain forms the library's index-tuple orbits and bare rows
-replaced: orbit keys are sets of vertices or of edges (each edge a
-frozenset of its ends), and each partial is a built `Graph`. The library
-must agree with them: the same representatives in the same order, and
-partial rows equal to the adjacency of these graphs.
+These are the plain forms the library's index-tuple orbits, bare rows and
+induced-tree growth replaced: orbit keys are sets of vertices or of edges
+(each edge a frozenset of its ends), each partial is a built `Graph`, and
+induced trees are the connected vertex sets with one edge fewer than
+vertices. The library must agree with them: the same representatives and
+trees in the same order, and partial rows equal to the adjacency of these
+graphs.
 """
 from __future__ import annotations
 
@@ -70,3 +72,39 @@ def edge_partials(
     for combo in one_per_orbit(g, combinations(g.edges(), num_edges), edge_set):
         yield ({"removed": [list(e) for e in combo], "added": num_vertices},
                edit(g, remove=combo, new_vertices=num_vertices))
+
+
+def connected_subsets(g: Graph, root: int, size: int) -> Iterator[list[int]]:
+    """Connected vertex sets of the given size whose minimum is root."""
+
+    def grow(chosen: list[int], banned: frozenset[int]) -> Iterator[list[int]]:
+        if len(chosen) == size:
+            yield sorted(chosen)
+            return
+        members = set(chosen)
+        ext = sorted(
+            w
+            for v in chosen
+            for w in g.neighbors(v)
+            if w > root and w not in members and w not in banned
+        )
+        seen: set[int] = set()
+        for c in ext:
+            if c in seen:
+                continue
+            seen.add(c)
+            yield from grow(chosen + [c], banned | frozenset(seen - {c}) | frozenset([c]))
+
+    yield from grow([root], frozenset())
+
+
+def induced_trees(g: Graph, size: int) -> Iterator[list[int]]:
+    """The connected sets of each root in turn that induce size - 1 edges."""
+    for root in range(g.order):
+        for subset in connected_subsets(g, root, size):
+            members = set(subset)
+            inner = sum(
+                1 for v in subset for w in g.neighbors(v) if w in members
+            )
+            if inner == 2 * (size - 1):
+                yield subset

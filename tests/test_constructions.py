@@ -32,7 +32,7 @@ from cagekit.errors import (
     RadiusTooLarge,
     TreeNotInduced,
 )
-from cagekit.families import CirculantSpec, circulant, quartic_parity_graph
+from cagekit.families import CirculantSpec, circulant, circulant44, quartic_parity_graph
 from cagekit.graph import (
     UNREACHABLE,
     Graph,
@@ -233,11 +233,35 @@ def test_cubic_scans_build_the_oracle_graphs():
 
 
 def test_merge_scan_matches_the_edge_distance_oracle():
-    for g in _small_regular(4) + [quartic_parity_graph(26), complete_bipartite(4, 4)]:
+    # The oracle gates each output on its girth, so this checks the scan's
+    # distance floor at every target girth.
+    graphs = _small_regular(4) + [quartic_parity_graph(26), complete_bipartite(4, 4)]
+    graphs += [circulant44(10), circulant44(13), circulant44(16), quartic_parity_graph(30)]
+    graphs += [shuffled(circulant44(14), random.Random(5)),
+               disjoint_union(circulant44(10), complete_bipartite(4, 4))]
+    for g in graphs:
         for target in range(3, g.girth() + 1):
             want = _marked(scan_oracle.iter_subdivide_merge, g, target)
             got = _marked(constructions.iter_subdivide_merge, g, target)
             assert got == want, (graph6.encode(g), target)
+
+
+def test_subdivide_merge_builds_one_graph_per_output(monkeypatch):
+    # a full scan builds its outputs and no candidate it would reject
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, adjacency):
+        built.append(self)
+        init(self, adjacency)
+
+    for g, outputs in ((circulant44(16), 176), (quartic_parity_graph(30), 0),
+                       (quartic_parity_graph(40), 20)):
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        outs = list(constructions.iter_subdivide_merge(g))
+        monkeypatch.undo()
+        assert len(outs) == len(built) == outputs
+        built.clear()
 
 
 @pytest.mark.parametrize("name", _CUBIC_SCANS)

@@ -42,7 +42,6 @@ from cagekit.named import (
     tutte_coxeter,
 )
 from cagekit.rewire import (
-    _connected_subsets,
     _edge_partials,
     _induced_trees,
     _vertex_partials,
@@ -224,18 +223,30 @@ def test_biggs_excision_guards():
         construct("remove_biggs_tree", complete_graph(4))
 
 
-def test_connected_subsets_match_brute_force():
-    graphs = [petersen(), cycle_graph(7), complete_graph(5), heawood()]
-    for g in graphs:
-        for size in (2, 3, 4):
-            for root in range(min(g.order, 5)):
-                mine = sorted(tuple(s) for s in _connected_subsets(g, root, size))
-                brute = sorted(
-                    subset
-                    for subset in combinations(range(g.order), size)
-                    if min(subset) == root and _induced_connected(g, subset)
-                )
-                assert mine == brute
+def test_induced_trees_match_brute_force():
+    """The trees are the size-s sets that are connected with s - 1 induced
+    edges, met in the order of `rewire_oracle.induced_trees`, which lists
+    every connected set and keeps the trees; that order decides which tree
+    an excision takes."""
+    for g in (petersen(), cycle_graph(7), complete_graph(5), heawood()):
+        for size in range(1, 6):
+            brute = [
+                subset
+                for subset in combinations(range(g.order), size)
+                if _induced_connected(g, subset) and _induced_edges(g, subset) == size - 1
+            ]
+            assert sorted(_induced_trees(g, size)) == brute, (g.order, size)
+    tc = tutte_coxeter()
+    perm = list(range(tc.order))
+    random.Random(17).shuffle(perm)
+    for g in (petersen(), heawood(), mcgee(), relabeled(tc, perm)):
+        for size in range(1, 8):
+            want = [tuple(s) for s in rewire_oracle.induced_trees(g, size)]
+            assert list(_induced_trees(g, size)) == want, (g.order, size)
+
+
+def _induced_edges(g: Graph, subset) -> int:
+    return sum(1 for u, v in combinations(subset, 2) if g.has_edge(u, v))
 
 
 def _induced_connected(g: Graph, subset) -> bool:
@@ -346,7 +357,7 @@ def test_orbits_and_partials_match_the_set_keyed_oracle():
         if gg is not ACYCLIC and gg >= 4:
             size = biggs_excision_size(gg)
             mine = _as_rows(
-                _vertex_partials(g, map(tuple, _induced_trees(g, size)), "tree")
+                _vertex_partials(g, _induced_trees(g, size), "tree")
             )
             assert mine == _as_adjacency(
                 rewire_oracle.vertex_partials(g, _induced_trees(g, size), "tree")
