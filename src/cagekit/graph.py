@@ -90,14 +90,17 @@ class Graph:
                 prev = v
                 if u < v:
                     edges.append((u, v))
-        self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self._edges: tuple[tuple[int, int], ...] = tuple(edges)  # rows are sorted
         # symmetry check: every u-v needs the matching v-u entry
-        for u, v in self._edges:
-            if u not in self._adj[v]:
+        for u, v in edges:
+            if u not in adj[v]:
                 raise NotAnEdge(f"asymmetric adjacency {u}-{v}")
-        if 2 * len(self._edges) != sum(map(len, self._adj)):
+        if 2 * len(edges) != sum(map(len, adj)):
             raise NotAnEdge("asymmetric adjacency")
+        self._set(tuple(adj), tuple(edges))  # rows are sorted, so edges are too
+
+    def _set(self, adj: tuple, edges: tuple) -> None:
+        self._adj: tuple[tuple[int, ...], ...] = adj
+        self._edges: tuple[tuple[int, int], ...] = edges
         self._girth: int | _Sentinel | None = None
         self._cert: str | None = None
         self._dist: dict[int, tuple] = {}
@@ -108,6 +111,16 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         return _build([[] for _ in range(n)], edges)
+
+    @classmethod
+    def _from_valid_rows(cls, rows: list[list[int]]) -> "Graph":
+        """A Graph on rows that are already valid: ints in range, sorted,
+        symmetric, with no loop and no repeat. Nothing is checked, so only
+        `graph6.decode`, whose byte checks make its rows valid, calls this."""
+        g = cls.__new__(cls)
+        adj = tuple(map(tuple, rows))
+        g._set(adj, tuple([(u, v) for u, row in enumerate(adj) for v in row if u < v]))
+        return g
 
     # -- basic accessors ------------------------------------------------------
 
@@ -140,14 +153,12 @@ class Graph:
         return v in self._adj[u]
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(r) for r in self._adj))
+        return tuple(sorted(map(len, self._adj)))
 
     def regularity(self) -> int | None:
-        """Common degree if regular, else None."""
-        if self.order == 0:
-            return None
-        k = len(self._adj[0])
-        return k if all(len(r) == k for r in self._adj) else None
+        """Common degree if regular, else None; None for the empty graph."""
+        degrees = set(map(len, self._adj))
+        return degrees.pop() if len(degrees) == 1 else None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
@@ -166,7 +177,8 @@ class Graph:
         cached = self._dist.get(src)
         if cached is not None:
             return cached
-        out = tuple(d if d >= 0 else UNREACHABLE for d in bfs_distances(self._adj, src))
+        dist = bfs_distances(self._adj, src)
+        out = tuple(dist) if -1 not in dist else tuple(d if d >= 0 else UNREACHABLE for d in dist)
         self._dist[src] = out
         return out
 
@@ -186,8 +198,9 @@ class Graph:
     def girth(self):
         """Length of a shortest cycle; ACYCLIC for forests.
 
-        One BFS per root over the vertices >= root, each cut at the depth
-        where it can no longer find a shorter cycle.
+        One BFS per root with two neighbours above it, over the vertices
+        >= root, each cut at the depth where it can no longer find a
+        shorter cycle.
         """
         if self._girth is None:
             self._girth = self._compute_girth()
@@ -195,38 +208,49 @@ class Graph:
 
     def _compute_girth(self):
         # A cycle search with depth cuts, not a distance query. An edge from
-        # depth du to a vertex already at depth du or du+1 is not a tree edge
-        # and closes a walk of length du+dist[w]+1 holding a cycle; an edge
+        # depth du to a vertex already at depth dw = du or du+1 is not a tree
+        # edge and closes a walk of length du+dw+1 holding a cycle; an edge
         # back to depth du-1 is the tree edge or was met from its other end.
         # Every such walk is at least the girth, and a shortest cycle lies
-        # among the vertices >= its smallest vertex, where the BFS from that
-        # vertex finds it: so the minimum over roots is exact.
+        # among the vertices >= its smallest vertex r, where the BFS from r
+        # finds it. The cycle leaves r through two neighbours above r, so a
+        # root without two such neighbours (rows are sorted) is skipped: the
+        # minimum over the other roots is still exact.
         n = self.order
         adj = self._adj
         best = n + 1  # longer than any cycle
-        dist = [-1] * n
-        for root in range(n):
-            dist[root] = 0
-            seen = [root]
+        # seen[v] = n*root + depth of v; an entry below n*root is left from
+        # an earlier root and means unvisited, so nothing is ever reset
+        seen = [-1] * n
+        for root, row in enumerate(adj):
+            if len(row) < 2 or row[-2] < root:
+                continue
+            base = n * root
+            seen[root] = base
             level = [root]
             du = 0
             while level and 2 * du < best:  # deeper levels cannot improve
-                grow = 2 * du + 2 < best  # a vertex at depth du+1 still can
+                lo = base + du  # the entry of depth du, so dw - du = seen[w] - lo
+                if 2 * du + 2 >= best:
+                    # no vertex at depth du+1 can improve: only an edge
+                    # inside this level can still close a shorter cycle
+                    for u in level:
+                        for w in adj[u]:
+                            if seen[w] == lo:
+                                best = 2 * du + 1
+                    break
                 nxt = []
                 for u in level:
                     for w in adj[u]:
-                        dw = dist[w]
-                        if dw < 0:
-                            if grow and w > root:
-                                dist[w] = du + 1
+                        sw = seen[w]
+                        if sw < base:
+                            if w > root:
+                                seen[w] = lo + 1
                                 nxt.append(w)
-                        elif dw >= du and du + dw + 1 < best:
-                            best = du + dw + 1
-                seen += nxt
+                        elif sw >= lo and sw - lo + 2 * du + 1 < best:
+                            best = sw - lo + 2 * du + 1
                 level = nxt
                 du += 1
-            for v in seen:
-                dist[v] = -1
             if best == 3:
                 break
         return ACYCLIC if best > n else best

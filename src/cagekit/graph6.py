@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 from .errors import MalformedGraph6, OrderTooLarge
@@ -24,6 +25,7 @@ def _encode_order(n: int) -> str:
 _OFFSETS = tuple(tuple(k for k in range(6) if v & (32 >> k)) for v in range(64))
 _IN_RANGE = bytes(range(63, 127))
 _PLUS_63 = _IN_RANGE + bytes(192)
+_MINUS_63 = bytes(63) + bytes(range(64)) + bytes(129)
 
 
 def encode(g: Graph) -> str:
@@ -46,7 +48,8 @@ def decode(line: str) -> Graph:
     """Decode one graph6 line.
 
     Costs O(n + m) beyond one pass over the line: only payload bytes other
-    than '?' (no bit set) are visited.
+    than '?' (no bit set) are visited. The byte checks are the only ones:
+    the Graph returned is built from rows they make valid.
     """
     # before str.strip(), which would remove some non-ASCII characters (\x85, \xa0)
     if not line.isascii():
@@ -82,18 +85,22 @@ def decode(line: str) -> Graph:
     if need and (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise MalformedGraph6("nonzero padding bits")
     rows: list[list[int]] = [[] for _ in range(n)]
-    j, start = 1, 0  # bit p lies in column j while start <= p < start + j
-    for idx, v in enumerate(data[off:]):
-        if v != 63:
-            base = 6 * idx
-            for k in _OFFSETS[v - 63]:
-                p = base + k
-                while p >= start + j:
-                    start += j
-                    j += 1
-                rows[p - start].append(j)
-                rows[j].append(p - start)
-    return Graph(rows)
+    j, start, end = 1, 0, 1  # bit p lies in column j while start <= p < end = start + j
+    # each payload byte's six bits; compress skips the bytes with none ('?') in C
+    vals = data[off:].translate(_MINUS_63)
+    for base, v in compress(zip(count(0, 6), vals), vals):
+        for p in _OFFSETS[v]:
+            p += base
+            while p >= end:
+                j += 1
+                start = end
+                end += j
+            i = p - start
+            rows[i].append(j)
+            rows[j].append(i)
+    # Each bit p < n(n-1)/2 (the padding is zero) added i < j < n once to
+    # both rows, in ascending order: the rows are valid, so build unchecked.
+    return Graph._from_valid_rows(rows)
 
 
 def iter_lines(path: str | os.PathLike) -> Iterator[tuple[int, Graph]]:

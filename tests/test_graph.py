@@ -15,6 +15,7 @@ from cagekit.graph import (
     check_kg,
     disjoint_union,
     edit,
+    relabeled,
     remove_vertices,
 )
 from cagekit.errors import (
@@ -77,6 +78,11 @@ def _random_forest(n, rng):
     return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
 
 
+def _roots_searched(g):
+    """The roots the girth search starts from: those with two neighbours above."""
+    return [v for v, row in enumerate(g.adjacency) if len(row) >= 2 and row[-2] > v]
+
+
 def test_girth_matches_the_all_roots_oracle():
     rng = random.Random(9)
     cases = []
@@ -93,6 +99,24 @@ def test_girth_matches_the_all_roots_oracle():
     nine = [(v, (v + 1) % 9) for v in range(9)]
     cases.append(Graph.from_edges(13, nine + [(8, 9), (9, 10), (10, 11), (11, 12), (12, 9)]))
     cases.append(Graph.from_edges(12, nine + [(8, 9), (9, 10), (10, 11), (11, 9)]))
+    # The search skips a root with fewer than two neighbours above it. The
+    # only shortest cycle is the square 2-5-7-6, whose least vertex 2 also
+    # has the neighbours 0 and 1 below it.
+    square = Graph.from_edges(8, [(2, 5), (5, 7), (7, 6), (6, 2), (0, 2), (1, 2),
+                                  (0, 3), (3, 4), (1, 4)])
+    assert square.girth() == 4 and square.neighbors(2) == (0, 1, 5, 6)
+    # one hexagon with trees hung on it, relabeled so that every vertex but
+    # the hexagon's least one, 4, has at most one neighbour above it
+    hexagon = relabeled(Graph.from_edges(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                                              (0, 6), (6, 7), (2, 8), (8, 9), (3, 10),
+                                              (10, 11)]),
+                        [4, 5, 7, 9, 8, 6, 3, 2, 1, 0, 10, 11])
+    assert _roots_searched(hexagon) == [4]
+    # a forest relabeled so that each vertex's one neighbour above it is its parent
+    forest = _random_forest(40, rng)
+    forest = relabeled(forest, [forest.order - 1 - v for v in range(forest.order)])
+    assert _roots_searched(forest) == [] and forest.size > 30
+    cases += [square, hexagon, forest]
     for g in cases:
         assert g.girth() == read_oracle.girth(g), g
     assert {read_oracle.girth(g) for g in cases} >= {ACYCLIC, 3, 4, 5, 6, 7, 8}

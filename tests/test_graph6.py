@@ -35,13 +35,24 @@ def _sample_graphs(rng, count):
 
 
 def test_decode_matches_the_bit_by_bit_oracle():
+    # decode builds its Graph unchecked; the oracle builds through the
+    # validating constructor. Equality compares rows only, so the edge list,
+    # degree sequence and row types are compared too. K_n sets every payload
+    # bit and crosses the 4-byte order field at 63; edgeless graphs set none.
     rng = random.Random(2026)
-    for g in _sample_graphs(rng, 60):
-        line = graph6.encode(g)
+    cases = [complete_graph(n) for n in range(1, 71)]
+    cases += [Graph.from_edges(n, []) for n in (0, 1, 2, 63)]
+    cases += _sample_graphs(rng, 60)
+    for g in cases:
+        line = pack_graph6(g.order, g.edges())
         for text in (line, line + "\n", ">>graph6<<" + line, " " + line + "\r\n"):
-            got = graph6.decode(text)
-            assert got == read_oracle.decode(text) == g
-            assert got.edges() == g.edges()
+            got, want = graph6.decode(text), read_oracle.decode(text)
+            assert got == want == g
+            assert got.edges() == want.edges() == g.edges()
+            assert got.degree_sequence() == want.degree_sequence()
+            assert type(got.adjacency) is tuple
+            assert all(type(row) is tuple and all(type(v) is int for v in row)
+                       for row in got.adjacency)
 
 
 def _mutants(rng, line):
