@@ -24,9 +24,8 @@ from .spectrum import (
 )
 
 CONSTRUCT_NAMES = tuple(name for name, op in OPERATIONS.items() if op.arity >= 1)
-# construct's option flags; each default applies where an operation names it
+# construct's option flags; one not given takes the operation's own default
 _OPTION_FLAGS = ("target_girth", "edges", "vertices", "radius", "root", "e1", "e2", "mode")
-_OPTION_DEFAULTS = {"edges": 3, "vertices": 2, "radius": 1}
 
 
 def _emit(graphs, path):
@@ -94,11 +93,10 @@ def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
         params = {"e1": list(e1), "e2": list(e2), "mode": args.mode or "cross"}
         h = apply_operation(op.name, (g1, g2), params)
         return [(Recipe(op.name, (certificate(g1), certificate(g2)), params, certificate(h)), h)]
-    options = {key: v for key, v in _OPTION_DEFAULTS.items() if key in op.options} | given
     out: list[tuple[Recipe, Graph]] = []
     for parent in graphs:
         cert = certificate(parent)
-        for params, h in construct(op.name, parent, budget=budget, **options):
+        for params, h in construct(op.name, parent, budget=budget, **given):
             out.append((Recipe(op.name, (cert,), params, certificate(h)), h))
     return out
 

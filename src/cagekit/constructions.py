@@ -2,6 +2,7 @@
 matching removal, and the canonical double cover."""
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, Iterator
 
 from .errors import (
@@ -90,17 +91,28 @@ def _far_rows(g: Graph, floor: int) -> Callable[[int], int]:
     return row
 
 
-def _far_pairs(g: Graph, floor: int, budget: Budget) -> Iterator[tuple]:
-    """Edge pairs at edge distance at least floor (or in different
-    components), in combinations order; one budget step per pair tested."""
+def _far_tuples(g: Graph, floor: int, size: int, budget: Budget) -> Iterator[tuple]:
+    """size-tuples of edges pairwise at edge distance at least floor (or in
+    different components), in combinations order; one budget step per tuple
+    tested. A prefix that already holds a close pair spends the steps of
+    every tuple it starts at once, as none of them can yield."""
     edges = g.edges()
+    m = len(edges)
     row = _far_rows(g, floor)
-    for i in range(len(edges) - 1):
-        far = row(i)
-        for j in range(i + 1, len(edges)):
-            budget.spend()
-            if far >> j & 1:
-                yield edges[i], edges[j]
+
+    def extend(prefix: tuple, far: int, start: int) -> Iterator[tuple]:
+        left = size - len(prefix)
+        for j in range(start, m - left + 1):
+            if left == 1:
+                budget.spend()
+                if far >> j & 1:
+                    yield (*prefix, edges[j])
+            elif far >> j & 1:
+                yield from extend((*prefix, edges[j]), far & row(j), j + 1)
+            else:
+                budget.spend(comb(m - 1 - j, left - 1))
+
+    return extend((), (1 << m) - 1, 0)
 
 
 def amalgamate(g1: Graph, g2: Graph, e1, e2, mode: str = "cross") -> Graph:
@@ -151,7 +163,7 @@ def iter_subdivide_two(
     if g.regularity() != 3:
         raise NotCubic("two-edge subdivision needs a cubic input")
     floor = _required_girth(g, target_girth) - 2
-    for e1, e2 in _far_pairs(g, floor, coerce_budget(budget)):
+    for e1, e2 in _far_tuples(g, floor, 2, coerce_budget(budget)):
         yield {"e1": list(e1), "e2": list(e2)}, apply_subdivide_pair(g, e1, e2)
 
 
@@ -161,24 +173,9 @@ def iter_subdivide_three(
     if g.regularity() != 3:
         raise NotCubic("three-edge subdivision needs a cubic input")
     floor = _required_girth(g, target_girth) - 3
-    budget = coerce_budget(budget)
-    edges = g.edges()
-    m = len(edges)
-    row = _far_rows(g, floor)
-    for i in range(m - 2):
-        far_i = row(i)
-        for j in range(i + 1, m - 1):
-            if not far_i >> j & 1:
-                # one step per (i, j, l) triple, as if each were tested; none can yield
-                budget.spend(m - 1 - j)
-                continue
-            far = far_i & row(j)
-            for l in range(j + 1, m):
-                budget.spend()
-                if far >> l & 1:
-                    e1, e2, e3 = edges[i], edges[j], edges[l]
-                    params = {"e1": list(e1), "e2": list(e2), "e3": list(e3)}
-                    yield params, apply_subdivide_triple(g, e1, e2, e3)
+    for e1, e2, e3 in _far_tuples(g, floor, 3, coerce_budget(budget)):
+        params = {"e1": list(e1), "e2": list(e2), "e3": list(e3)}
+        yield params, apply_subdivide_triple(g, e1, e2, e3)
 
 
 def iter_subdivide_merge(
@@ -189,7 +186,7 @@ def iter_subdivide_merge(
     # a cycle through the merged vertex runs between ends of the two edges,
     # so it is at least one longer than their edge distance
     floor = _required_girth(g, target_girth) - 1
-    for e1, e2 in _far_pairs(g, floor, coerce_budget(budget)):
+    for e1, e2 in _far_tuples(g, floor, 2, coerce_budget(budget)):
         yield {"e1": list(e1), "e2": list(e2)}, apply_subdivide_merge(g, e1, e2)
 
 

@@ -78,7 +78,8 @@ class Operation:
     - `grow(parents, budget, **options)` yields (params, graph), as `apply`
       takes the parents: `()`, `(g,)` or `(g1, g2)`. Its keywords after the
       budget are its `options`, which `construct` accepts and the CLI fills
-      from flags; a `target_girth` defaults to the parent's girth.
+      from flags, taking a unary operation's own default for one not given;
+      a `target_girth` defaults to the parent's girth.
     - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
       order n, each a (parent order, grow keywords). The engine grows from
       each (k,g)-graph it stores of that order, or from no parent when the
@@ -199,7 +200,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         lambda ps, p: apply_moore_double(
             ps[0], p.integer("r"), p.integer("root"), p.integers("matching")
         ),
-        grow=lambda ps, budget, radius, root=None: iter_moore_double(
+        grow=lambda ps, budget, radius=1, root=None: iter_moore_double(
             ps[0], radius, budget, root
         ),
         steps=_moore_steps,
@@ -213,7 +214,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "delete_vertices", 1,
         lambda ps, p: apply_delete_vertices(ps[0], p.integers("removed"), p.edges("edges")),
-        grow=lambda ps, budget, vertices, target_girth=None: iter_delete_vertices(
+        grow=lambda ps, budget, vertices=2, target_girth=None: iter_delete_vertices(
             ps[0], vertices, target_girth, budget
         ),
         steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
@@ -222,7 +223,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "delete_edges_add_vertices", 1,
         _apply_delete_edges_add_vertices,
-        grow=lambda ps, budget, edges, vertices, target_girth=None: (
+        grow=lambda ps, budget, edges=3, vertices=2, target_girth=None: (
             iter_delete_edges_add_vertices(ps[0], edges, vertices, target_girth, budget)
         ),
         steps=lambda n, k, g: [
@@ -286,22 +287,18 @@ def construct(
 
     `options` are the operation's grow keywords (its `options`, such as
     `vertices` for delete_vertices or `radius` and `root` for
-    moore_tree_double). A `target_girth` other than None is one of them.
-    A keyword the operation does not name, and then one it needs and is
-    not given, is a `ParameterOutOfRange`.
+    moore_tree_double); one left out takes its grow default. A
+    `target_girth` other than None is one of them. A keyword the operation
+    does not name is a `ParameterOutOfRange`.
     """
     op = OPERATIONS.get(name)
     if op is None or op.arity != 1 or op.grow is None:
         raise UnknownOperation(f"{name!r} is not a unary operation")
     if target_girth is not None:
         options["target_girth"] = target_girth
-    declared = op.options
-    unknown = sorted(set(options) - set(declared))
+    unknown = sorted(set(options) - set(op.options))
     if unknown:
         raise ParameterOutOfRange(f"{name} takes no option {', '.join(unknown)}")
-    missing = [key for key, p in declared.items() if p.default is p.empty and key not in options]
-    if missing:
-        raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")
     return dedup_first(op.grow((parent,), budget, **options))
 
 

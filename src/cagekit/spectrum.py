@@ -107,7 +107,10 @@ def parse_citations(path: str | os.PathLike) -> dict[tuple[int, int, int], str]:
 
 
 def load_seeds(root: str | os.PathLike, k: int, g: int) -> list[Graph]:
-    """Graphs from every <root>/k{K}g{G}/*.g6 file, in sorted file order."""
+    """Graphs from every <root>/k{K}g{G}/*.g6 file, in sorted file order;
+    a missing root is a FileNotFoundError, a missing k{K}g{G} folder none."""
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"no seed directory {os.fspath(root)!r}")
     folder = os.path.join(os.fspath(root), f"k{k}g{g}")
     if not os.path.isdir(folder):
         return []

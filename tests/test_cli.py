@@ -122,7 +122,7 @@ def test_construct_double_cover(tmp_path):
     assert [(g.order, g.girth()) for g in produced] == [(48, 8)]
 
 
-def test_construct_amalgamate(tmp_path):
+def test_construct_amalgamate(tmp_path, capsys):
     src = write_g6(tmp_path / "in.g6", [petersen(), petersen()])
     out = str(tmp_path / "out.g6")
     code = main(
@@ -133,6 +133,9 @@ def test_construct_amalgamate(tmp_path):
     produced = graph6.read_file(out)
     assert [(g.order, g.girth()) for g in produced] == [(20, 5)]
     assert len(read_recipes(out + ".recipes")) == 1
+    one = write_g6(tmp_path / "one.g6", [petersen()])
+    assert main(["construct", "amalgamate", "--in", one, "--out", out]) == 1
+    assert "needs two input graphs" in capsys.readouterr().err
 
 
 def test_construct_amalgamate_builds_through_the_table(tmp_path, monkeypatch):
@@ -304,6 +307,10 @@ def test_spectrum_subcommand(tmp_path, capsys):
     text = out.read_text()
     assert "10 Realized" in text
     assert "N(k,g)=<=10" in text
+    capsys.readouterr()
+    assert main(["spectrum", "--k", "3", "--g", "5", "--horizon", "20",
+                 "--seeds", str(tmp_path / "seeds")]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_spectrum_with_citations(tmp_path):
@@ -358,6 +365,9 @@ def test_missing_file_exits_one(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "absent.g6" in err
+    seeds = str(tmp_path / "no-seeds")
+    assert main(["spectrum", "--k", "3", "--g", "5", "--horizon", "14", "--seeds", seeds]) == 1
+    assert seeds in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():

@@ -178,6 +178,8 @@ def test_constructor_validation():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(NotAnEdge):
         Graph([(1,), ()])  # asymmetric adjacency
+    with pytest.raises(NotAnEdge, match="^asymmetric adjacency$"):
+        Graph([[], [0]])  # the entry lies only in the higher row
 
 
 @pytest.mark.parametrize("bad, shown", [(True, "True"), (1.0, "1.0"), (-1, "-1"), (2, "2")])

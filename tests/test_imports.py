@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used or re-exported, and
-every private name a module defines at its top level is read in it."""
+"""Source hygiene: every name a module imports is used or re-exported,
+every private name a module defines at its top level is read in it, and
+every source parses as the oldest Python the package supports."""
 from __future__ import annotations
 
 import ast
@@ -7,7 +8,8 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "cagekit")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, os.pardir, "src", "cagekit")
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -79,3 +81,14 @@ def test_checker_flags_an_unread_private_name():
 def test_private_names_are_read(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unread_private_names(fh.read()) == []
+
+
+@pytest.mark.parametrize("folder", [SRC, TESTS])
+def test_sources_parse_as_python_3_10(folder):
+    """pyproject's requires-python floor, as far as syntax goes: a newer
+    grammar feature fails here even when the running interpreter is newer."""
+    names = sorted(name for name in os.listdir(folder) if name.endswith(".py"))
+    assert names
+    for name in names:
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=name, feature_version=(3, 10))

@@ -115,16 +115,20 @@ def test_construct_rejects_a_misspelled_option():
         construct("delete_vertices", circulant44(11), vertice=2)
 
 
-@pytest.mark.parametrize("name, options, missing", [
-    ("moore_tree_double", {}, "radius"),
-    ("moore_tree_double", {"root": 0}, "radius"),
-    ("delete_vertices", {"target_girth": 4}, "vertices"),
-    ("delete_edges_add_vertices", {}, "edges, vertices"),
-    ("delete_edges_add_vertices", {"edges": 3}, "vertices"),
-])
-def test_construct_rejects_a_missing_option(name, options, missing):
-    with pytest.raises(ParameterOutOfRange, match=f"needs option {missing}$"):
-        construct(name, petersen(), **options)
+def test_construct_takes_the_operation_defaults():
+    """Every option of a unary operation has a default in its grow
+    signature, and an option left out of construct takes it."""
+    for op in OPERATIONS.values():
+        if op.arity == 1:
+            assert all(p.default is not p.empty for p in op.options.values()), op.name
+    for name, parent, options, defaults in [
+        ("moore_tree_double", petersen(), {"root": 0}, {"radius": 1}),
+        ("delete_vertices", petersen(), {"target_girth": 4}, {"vertices": 2}),
+        ("delete_edges_add_vertices", heawood(), {}, {"edges": 3, "vertices": 2}),
+    ]:
+        outs = construct(name, parent, **options)
+        assert outs, name
+        assert outs == construct(name, parent, **options, **defaults), name
 
 
 def test_every_engine_step_binds_to_its_grow_signature():

@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 
 import rewire_oracle
-from cagekit import rewire
+from cagekit import graph6, rewire
 from cagekit.canon import is_isomorphic
+from cagekit.constructions import apply_subdivide_pair
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
     DegreeImbalance,
@@ -25,6 +26,7 @@ from cagekit.families import circulant44
 from cagekit.graph import (
     ACYCLIC,
     Graph,
+    check_kg,
     compacted,
     edit,
     relabeled,
@@ -52,6 +54,7 @@ from cagekit.rewire import (
     iter_remove_biggs_tree,
 )
 from cagekit.recipes import construct
+from conftest import SEED34
 
 
 def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
@@ -156,6 +159,10 @@ def test_delete_edges_mcgee_grows_girth_seven():
 def test_delete_edges_parity_guard():
     with pytest.raises(DegreeImbalance):
         construct("delete_edges_add_vertices", complete_graph(4), 3, edges=2, vertices=1)
+    with pytest.raises(DegreeMismatch):
+        list(iter_delete_edges_add_vertices(complete_bipartite(2, 3), 3, 2))
+    with pytest.raises(ParameterOutOfRange):
+        list(iter_delete_edges_add_vertices(petersen(), -1, 2))
 
 
 def test_delete_vertices_quartic():
@@ -186,6 +193,20 @@ def test_delete_vertices_guards():
         construct("delete_vertices", heawood(), 6, vertices=1)  # odd surviving order, cubic
     with pytest.raises(ParameterOutOfRange):
         construct("delete_vertices", petersen(), 2, vertices=2)
+    with pytest.raises(DegreeMismatch):
+        list(iter_delete_vertices(complete_bipartite(2, 3), 1))
+
+
+def test_a_rewiring_may_raise_the_girth():
+    """The target girth of a deletion search is not capped at the parent's:
+    a splice of girth 4 rewires back to a (3,8)-graph of order 34."""
+    parent = apply_subdivide_pair(graph6.read_file(SEED34)[0], (0, 17), (2, 20))
+    assert parent.girth() == 4
+    outs = list(iter_delete_vertices(parent, 2, 8))
+    assert outs
+    for _, h in outs:
+        assert h.order == 34
+        assert check_kg(h, 3, 8) is None
 
 
 @pytest.mark.parametrize("n, vertices", [(4, 4), (5, 1)])

@@ -153,6 +153,8 @@ def test_empty_seed_list_resolves_nothing():
 def test_horizon_too_small():
     with pytest.raises(HorizonTooSmall):
         spectrum_search(3, 5, [petersen()], 9)
+    with pytest.raises(HorizonTooSmall, match="smallest order 4"):
+        spectrum_search(3, 5, [], 3)
 
 
 def test_wrong_citation_detected():
@@ -441,6 +443,8 @@ def test_seed_and_citation_files(tmp_path):
     graph6.write_file(folder / "cage.g6", [petersen()])
     assert [g.order for g in load_seeds(tmp_path, 3, 5)] == [10]
     assert load_seeds(tmp_path, 4, 5) == []
+    with pytest.raises(FileNotFoundError, match="absent"):
+        load_seeds(tmp_path / "absent", 3, 5)
 
     table = tmp_path / "citations.txt"
     table.write_text("# known exclusions\n3 8 32 ruled out by census\n4 4 9 none exists\n")
