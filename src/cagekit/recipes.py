@@ -289,7 +289,8 @@ def construct(
     `vertices` for delete_vertices or `radius` and `root` for
     moore_tree_double); one left out takes its grow default. A
     `target_girth` other than None is one of them. A keyword the operation
-    does not name is a `ParameterOutOfRange`.
+    does not name, then None for one whose default is not None, is a
+    `ParameterOutOfRange`.
     """
     op = OPERATIONS.get(name)
     if op is None or op.arity != 1 or op.grow is None:
@@ -299,6 +300,9 @@ def construct(
     unknown = sorted(set(options) - set(op.options))
     if unknown:
         raise ParameterOutOfRange(f"{name} takes no option {', '.join(unknown)}")
+    missing = [k for k, p in op.options.items() if options.get(k, p) is None is not p.default]
+    if missing:
+        raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")
     return dedup_first(op.grow((parent,), budget, **options))
 
 

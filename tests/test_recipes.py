@@ -115,6 +115,20 @@ def test_construct_rejects_a_misspelled_option():
         construct("delete_vertices", circulant44(11), vertice=2)
 
 
+@pytest.mark.parametrize("name, options, missing", [
+    ("moore_tree_double", {"radius": None}, "radius"),
+    ("moore_tree_double", {"root": 0, "radius": None}, "radius"),
+    ("delete_vertices", {"target_girth": 4, "vertices": None}, "vertices"),
+    ("delete_edges_add_vertices", {"vertices": None, "edges": None}, "edges, vertices"),
+    ("delete_edges_add_vertices", {"edges": 3, "vertices": None}, "vertices"),
+])
+def test_construct_rejects_a_missing_option(name, options, missing):
+    """An option given as None, where its default is not None, is missing:
+    a typed error, not a TypeError from inside the scan."""
+    with pytest.raises(ParameterOutOfRange, match=f"needs option {missing}$"):
+        construct(name, petersen(), **options)
+
+
 def test_construct_takes_the_operation_defaults():
     """Every option of a unary operation has a default in its grow
     signature, and an option left out of construct takes it."""
