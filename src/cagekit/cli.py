@@ -132,7 +132,7 @@ def cmd_spectrum(args) -> int:
     citations = parse_citations(args.citations) if args.citations else {}
     names = (
         tuple(args.constructions.split(","))
-        if args.constructions
+        if args.constructions is not None
         else DEFAULT_CONSTRUCTIONS
     )
     config = SearchConfig(

@@ -403,8 +403,4 @@ def _backtracking_matching(g, budget) -> list[tuple[int, int]]:
 def canonical_double_cover(g: Graph) -> Graph:
     """Bipartite double: each vertex splits in two, edges cross the halves."""
     n = g.order
-    doubled: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        doubled.append((u, v + n))
-        doubled.append((v, u + n))
-    return Graph.from_edges(2 * n, doubled)
+    return Graph([[w + n for w in row] for row in g.adjacency] + list(g.adjacency))

@@ -29,13 +29,6 @@ def _check_vertex(v: int, n: int) -> None:
         raise IndexOutOfRange(f"vertex {v!r} not in 0..{n - 1}")
 
 
-def normalize_endpoints(u: int, v: int) -> tuple[int, int]:
-    """Return (min, max); reject loops."""
-    if u == v:
-        raise SameEdge(f"loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 def bfs_distances(
     adj: Sequence, src: int, radius: int | None = None, dist: list[int] | None = None
 ) -> list[int]:
@@ -72,12 +65,16 @@ class Graph:
     instance; methods are pure, so instances are safe to share.
     """
 
-    __slots__ = ("_adj", "_edges", "_girth", "_cert", "_dist", "_autos")
+    __slots__ = ("_adj", "_girth", "_cert", "_dist", "_autos")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = [tuple(sorted(nbrs)) for nbrs in adjacency]
         n = len(adj)
-        edges = []
+        # One pass checks every entry and counts the u < v ones, noting the
+        # first whose v-u entry is missing; asymmetry is raised only after
+        # every range, loop and repeat check has passed.
+        half = 0
+        missing = None
         for u, row in enumerate(adj):
             prev = -1
             for v in row:
@@ -89,18 +86,19 @@ class Graph:
                     raise MultiEdge(f"repeated edge {u}-{v}")
                 prev = v
                 if u < v:
-                    edges.append((u, v))
-        # symmetry check: every u-v needs the matching v-u entry
-        for u, v in edges:
-            if u not in adj[v]:
-                raise NotAnEdge(f"asymmetric adjacency {u}-{v}")
-        if 2 * len(edges) != sum(map(len, adj)):
+                    half += 1
+                    if missing is None and u not in adj[v]:
+                        missing = (u, v)
+        if missing is not None:
+            raise NotAnEdge("asymmetric adjacency {}-{}".format(*missing))
+        # each u < v entry has its v-u entry, so a v-u entry without its
+        # u < v one is all that can make the counts differ
+        if 2 * half != sum(map(len, adj)):
             raise NotAnEdge("asymmetric adjacency")
-        self._set(tuple(adj), tuple(edges))  # rows are sorted, so edges are too
+        self._set(tuple(adj))
 
-    def _set(self, adj: tuple, edges: tuple) -> None:
+    def _set(self, adj: tuple) -> None:
         self._adj: tuple[tuple[int, ...], ...] = adj
-        self._edges: tuple[tuple[int, int], ...] = edges
         self._girth: int | _Sentinel | None = None
         self._cert: str | None = None
         self._dist: dict[int, tuple] = {}
@@ -118,8 +116,7 @@ class Graph:
         symmetric, with no loop and no repeat. Nothing is checked, so only
         `graph6.decode`, whose byte checks make its rows valid, calls this."""
         g = cls.__new__(cls)
-        adj = tuple(map(tuple, rows))
-        g._set(adj, tuple([(u, v) for u, row in enumerate(adj) for v in row if u < v]))
+        g._set(tuple(map(tuple, rows)))
         return g
 
     # -- basic accessors ------------------------------------------------------
@@ -130,7 +127,7 @@ class Graph:
 
     @property
     def size(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -145,7 +142,8 @@ class Graph:
         return len(self._adj[v])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """The (u, v) pairs with u < v, in lexicographic order (rows are sorted)."""
+        return tuple([(u, v) for u, row in enumerate(self._adj) for v in row if u < v])
 
     def has_edge(self, u: int, v: int) -> bool:
         _check_vertex(u, self.order)
@@ -262,7 +260,10 @@ class Graph:
         u, v = e
         _check_vertex(u, self.order)
         _check_vertex(v, self.order)
-        u, v = normalize_endpoints(u, v)
+        if u == v:
+            raise SameEdge(f"loop at vertex {u}")
+        if u > v:
+            u, v = v, u
         if v not in self._adj[u]:
             raise NotAnEdge(f"{u}-{v} is not an edge")
         return (u, v)
@@ -392,8 +393,7 @@ def relabeled(g: Graph, perm: Iterable[int]) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     off = g1.order
-    edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
-    return Graph.from_edges(off + g2.order, edges)
+    return Graph(g1.adjacency + tuple([[w + off for w in row] for row in g2.adjacency]))
 
 
 def bipartition(g: Graph) -> tuple[set, set] | None:

@@ -107,8 +107,9 @@ class Operation:
 def _grow_amalgams(parents, budget):
     """Amalgams of the pair over every edge of each, of any girth."""
     g1, g2 = parents
+    edges2 = g2.edges()
     for e1 in g1.edges():
-        for e2 in g2.edges():
+        for e2 in edges2:
             for mode in AMALGAMATE_MODES:
                 out = amalgamate(g1, g2, e1, e2, mode)
                 yield {"e1": list(e1), "e2": list(e2), "mode": mode}, out

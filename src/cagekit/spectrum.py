@@ -54,7 +54,7 @@ class SearchConfig:
     def __post_init__(self):
         unknown = [name for name in self.constructions if name not in DEFAULT_CONSTRUCTIONS]
         if unknown:
-            raise UnknownOperation(f"unknown construction(s): {', '.join(unknown)}")
+            raise UnknownOperation(f"unknown construction(s): {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,16 @@ def test_spectrum_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("names", ["", ",", "subdivide_two,"])
+def test_spectrum_rejects_an_empty_construction_name(tmp_path, capsys, names):
+    seeds = tmp_path / "seeds" / "k3g5"
+    seeds.mkdir(parents=True)
+    write_g6(seeds / "cage.g6", [petersen()])
+    assert main(["spectrum", "--k", "3", "--g", "5", "--horizon", "12",
+                 "--seeds", str(tmp_path / "seeds"), "--constructions", names]) == 1
+    assert "unknown construction(s): ''" in capsys.readouterr().err
+
+
 def test_spectrum_with_citations(tmp_path):
     seeds = tmp_path / "seeds" / "k4g4"
     seeds.mkdir(parents=True)

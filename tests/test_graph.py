@@ -37,6 +37,9 @@ from cagekit.named import (
     tutte_coxeter,
 )
 
+from cagekit import graph6
+from cagekit.constructions import canonical_double_cover
+
 import read_oracle
 from helpers import all_labeled_graphs, brute_girth, hypercube, random_graph, shuffled
 
@@ -180,6 +183,36 @@ def test_constructor_validation():
         Graph([(1,), ()])  # asymmetric adjacency
     with pytest.raises(NotAnEdge, match="^asymmetric adjacency$"):
         Graph([[], [0]])  # the entry lies only in the higher row
+    # a range, loop or repeat error comes before asymmetry
+    with pytest.raises(IndexOutOfRange):
+        Graph([(1,), (5,)])  # 0-1 lacks 1-0, and 5 is out of range
+    with pytest.raises(SameEdge):
+        Graph([(1,), (1,)])  # 0-1 lacks 1-0, and 1-1 is a loop
+    with pytest.raises(MultiEdge):
+        Graph([(1,), (), (0, 0)])
+    with pytest.raises(NotAnEdge, match="^asymmetric adjacency 0-1$"):
+        Graph([(1, 2), (), (0,)])  # the first u < v entry without its match
+
+
+_BUILT = {
+    "Graph": lambda: Graph([(1, 2), (0, 2), (0, 1), ()]),
+    "from_edges": lambda: Graph.from_edges(6, [(4, 1), (0, 5), (3, 2), (1, 0), (5, 3)]),
+    "graph6.decode": lambda: graph6.decode(graph6.encode(petersen())),
+    "edit": lambda: edit(heawood(), remove=[(0, 1)], new_vertices=2, add=[(0, 14), (1, 15)]),
+    "remove_vertices": lambda: remove_vertices(mcgee(), [3, 0, 17])[0],
+    "relabeled": lambda: relabeled(petersen(), [(7 * v) % 10 for v in range(10)]),
+    "disjoint_union": lambda: disjoint_union(path_graph(4), cycle_graph(5)),
+    "canonical_double_cover": lambda: canonical_double_cover(petersen()),
+}
+
+
+@pytest.mark.parametrize("build", list(_BUILT.values()), ids=list(_BUILT))
+def test_edges_and_size_are_derived_from_the_rows(build):
+    g = build()
+    rows = g.adjacency
+    assert g.edges() == tuple(sorted((u, v) for u, row in enumerate(rows) for v in row if u < v))
+    assert g.size == len(g.edges()) == sum(g.degree_sequence()) // 2
+    assert g.size > 0 and all(list(row) == sorted(row) for row in rows)
 
 
 @pytest.mark.parametrize("bad, shown", [(True, "True"), (1.0, "1.0"), (-1, "-1"), (2, "2")])

@@ -262,6 +262,9 @@ def test_unknown_construction_rejected():
     # excision needs a parent of girth g+1, which the engine never stores
     with pytest.raises(UnknownOperation, match="remove_biggs_tree"):
         SearchConfig(constructions=("remove_biggs_tree",))
+    # each unknown name is shown quoted, so an empty one is visible
+    with pytest.raises(UnknownOperation, match=r"^unknown construction\(s\): '', 'x'$"):
+        SearchConfig(constructions=("subdivide_two", "", "x"))
 
 
 def test_engine_certifies_only_kg_graphs(monkeypatch):
