@@ -11,10 +11,11 @@ the sorted names of its members' neighbors and orders the pieces by that
 signature, exactly as a full round over all vertices would. But a round
 signs only the members next to a vertex that moved in the previous round,
 plus one member standing for the rest of its class, which all share a
-signature; classes with no such member cannot split. When a class splits,
-every piece but the largest counts as moved (Hopcroft's rule). A search
-node starts from its parent's stable partition, and only the neighbors of
-the individualized vertex are signed in its first round.
+signature; classes with no such member cannot split. A class of two is
+split by comparing its two signatures, with no grouping. When a class
+splits, every piece but the largest counts as moved (Hopcroft's rule). A
+search node starts from its parent's stable partition, and only the
+neighbors of the individualized vertex are signed in its first round.
 
 The root of the search is the stable partition of the vertices by their
 distance profiles: how many vertices lie at each distance from a vertex,
@@ -22,16 +23,21 @@ and how many it cannot reach, from one pass that grows the distance balls
 of all vertices together, level by level, as bit masks. Isomorphisms map
 profiles onto profiles, so the tree of an isomorphic copy is the same tree
 relabeled; automorphisms preserve them, so the leaves still reveal the
-whole group. Most graphs met while growing spectra have no symmetry, and
-their profiles split at the root what refinement alone cannot split in a
-regular graph, where each root vertex would cost a refinement of its own.
+whole group. The profiles of a graph with little symmetry split at the
+root what refinement alone cannot split in a regular graph, where each
+root vertex would cost a refinement of its own. Most graphs certified while
+growing spectra are construction outputs with a nontrivial group (77 of the
+79 in the five small cubic and (4,4) runs), so most certificates also run a
+search below the root.
 
 The search individualizes each vertex of the first non-singleton class in
 increasing label order, and the canonical labeling is the leaf with the
 least tuple of adjacency bit rows. A leaf equal to the first or best leaf
 gives an automorphism; the search backs up to where the two paths part, and
 skips every candidate in the orbit of one already tried under the group
-generated by the automorphisms found that fix the node's prefix. This is
+generated by the automorphisms found that fix the node's prefix. A node
+names the orbits on its cell by ids, and each such automorphism that joins
+two orbits relabels the members of one with the id of the other. This is
 the design of McKay & Piperno, "Practical graph isomorphism II" (2014), and
 of bliss (Junttila & Kaski, 2007), with the distance profile as the one
 vertex invariant, applied at the root; no invariant prunes a node below it,
@@ -39,7 +45,9 @@ so the least leaf, and with it the certificate, is that of the full tree
 under that root.
 The automorphisms found are kept on the graph; they generate its
 automorphism group, which the rewiring searches use to skip isomorphic
-deletions.
+deletions. The canonical form moves the graph's rows to their canonical
+places and is built with no further check, so a certificate costs the
+search, one row permutation and one graph6 encoding.
 """
 from __future__ import annotations
 
@@ -47,28 +55,47 @@ from .graph import Graph, relabeled
 from . import graph6
 
 
-def _split(adj, cell_of, order, size, touched) -> None:
+def _split(adj, cell_of, order, size, moved) -> None:
     """Refine an ordered partition in place until it is stable.
 
     `cell_of[v]` is the name (first position) of v's class, `order` lists
     the vertices by position and `size[s]` is the size of the class named
-    s. `touched` maps the name of each class that may split to the members
-    whose signatures may differ from the rest; all other members of that
-    class share one signature, so one of them stands for all.
+    s. `moved` holds the vertices whose class just changed. Each round
+    signs, in every non-singleton class next to a moved vertex, the members
+    next to one; the other members of that class share one signature, so
+    one of them stands for all. A class of two is decided by comparing its
+    two signatures.
     """
-    while touched:
+    sig = cell_of.__getitem__
+    while moved:
+        touched: dict[int, set[int]] = {}
+        for v in moved:
+            for w in adj[v]:
+                c = cell_of[w]
+                if size[c] > 1:
+                    hit = touched.get(c)
+                    if hit is None:
+                        touched[c] = {w}
+                    else:
+                        hit.add(w)
         splits = []
         for s, hit in touched.items():
             k = size[s]
+            if k == 2:
+                u, w = order[s], order[s + 1]
+                a, b = sorted(map(sig, adj[u])), sorted(map(sig, adj[w]))
+                if a != b:
+                    splits.append((s, [[u], [w]] if a < b else [[w], [u]]))
+                continue
             groups: dict = {}
             rest = None
             if len(hit) < k:
                 for u in order[s : s + k]:
                     if u not in hit:
                         break
-                rest = groups[tuple(sorted([cell_of[w] for w in adj[u]]))] = []
+                rest = groups[tuple(sorted(map(sig, adj[u])))] = []
             for v in hit:
-                key = tuple(sorted([cell_of[w] for w in adj[v]]))
+                key = tuple(sorted(map(sig, adj[v])))
                 piece = groups.get(key)
                 if piece is None:
                     groups[key] = [v]
@@ -77,10 +104,9 @@ def _split(adj, cell_of, order, size, touched) -> None:
             if len(groups) > 1:
                 if rest is not None:
                     rest += [u for u in order[s : s + k] if u not in hit]
-                splits.append((s, groups))
-        moved: list[int] = []
-        for s, groups in splits:
-            pieces = [groups[key] for key in sorted(groups)]
+                splits.append((s, [groups[key] for key in sorted(groups)]))
+        moved = []
+        for s, pieces in splits:
             largest = max(pieces, key=len)
             pos = s
             for piece in pieces:
@@ -93,23 +119,6 @@ def _split(adj, cell_of, order, size, touched) -> None:
                 if piece is not largest:
                     moved += piece
                 pos += m
-        touched = _touched(adj, cell_of, size, moved)
-
-
-def _touched(adj, cell_of, size, moved):
-    """The non-singleton classes next to the moved vertices, each with its
-    members that are neighbors of a moved vertex."""
-    touched: dict[int, set[int]] = {}
-    for v in moved:
-        for w in adj[v]:
-            c = cell_of[w]
-            if size[c] > 1:
-                hit = touched.get(c)
-                if hit is None:
-                    touched[c] = {w}
-                else:
-                    hit.add(w)
-    return touched
 
 
 def _stable_partition(adj, colors):
@@ -117,15 +126,14 @@ def _stable_partition(adj, colors):
     n = len(adj)
     order = sorted(range(n), key=lambda v: colors[v])
     cell_of, size = [0] * n, [0] * n
-    classes: dict[int, set[int]] = {}
     s = 0
     for pos, v in enumerate(order):
         if colors[v] != colors[order[s]]:
             s = pos
         cell_of[v] = s
         size[s] += 1
-        classes.setdefault(s, set()).add(v)
-    _split(adj, cell_of, order, size, {s: c for s, c in classes.items() if len(c) > 1})
+    # every vertex counts as moved, so the first round signs every class
+    _split(adj, cell_of, order, size, range(n))
     return cell_of, order, size
 
 
@@ -191,19 +199,20 @@ def _canonical_perm(g: Graph) -> list[int]:
         """Record a leaf; return the depth to back up to, or None."""
         nonlocal first, best
         bit = [1 << p for p in pos]
-        key = tuple([sum([bit[w] for w in adj[v]]) for v in at])
+        bit_of = bit.__getitem__
+        key = [sum(map(bit_of, adj[v])) for v in at]
         if first is None:
-            first = best = (key, at, pos, list(path))
+            first = best = (key, at, pos, path[:])
             return None
         for other in (first, best):
             if key == other[0]:
-                autos.append([other[1][pos[v]] for v in range(n)])
+                autos.append(list(map(other[1].__getitem__, pos)))
                 depth = 0
                 while path[depth] == other[3][depth]:
                     depth += 1
                 return depth
         if key < best[0]:
-            best = (key, at, pos, list(path))
+            best = (key, at, pos, path[:])
         return None
 
     def search(cell_of, order, size, start, path):
@@ -213,26 +222,25 @@ def _canonical_perm(g: Graph) -> list[int]:
             return leaf(cell_of, order, path)
         depth = len(path)
         k = size[start]
-        parent: dict[int, int] = {}  # union-find over the cell, by orbits
-        tried: set[int] = set()  # roots of orbits holding a tried vertex
+        cell = order[start : start + k]
+        orbit = None  # cell member -> orbit id, once an automorphism fixes the path
+        tried: set[int] = set()  # orbit ids holding a tried vertex
         seen = 0
-
-        def root(v):
-            while parent.get(v, v) != v:
-                v = parent[v]
-            return v
-
-        for v in sorted(order[start : start + k]):
+        for v in sorted(cell):
             for gamma in autos[seen:]:
-                if all(gamma[p] == p for p in path):
-                    for u in order[start : start + k]:
-                        a, b = root(u), root(gamma[u])
+                if list(map(gamma.__getitem__, path)) == path:
+                    if orbit is None:
+                        orbit = {u: u for u in cell}
+                    for u in cell:
+                        a, b = orbit[u], orbit[gamma[u]]
                         if a != b:
-                            parent[b] = a
+                            for w in cell:
+                                if orbit[w] == b:
+                                    orbit[w] = a
                             if b in tried:
                                 tried.add(a)
             seen = len(autos)
-            r = root(v)
+            r = v if orbit is None else orbit[v]
             if r in tried:
                 continue
             tried.add(r)
@@ -242,7 +250,7 @@ def _canonical_perm(g: Graph) -> list[int]:
             s[start], s[start + 1] = 1, k - 1
             for u in o[start + 1 : start + k]:
                 c[u] = start + 1
-            _split(adj, c, o, s, _touched(adj, c, s, [v]))
+            _split(adj, c, o, s, [v])
             path.append(v)
             back = search(c, o, s, start + 1, path)
             path.pop()

@@ -114,7 +114,9 @@ class Graph:
     def _from_valid_rows(cls, rows: list[list[int]]) -> "Graph":
         """A Graph on rows that are already valid: ints in range, sorted,
         symmetric, with no loop and no repeat. Nothing is checked, so only
-        `graph6.decode`, whose byte checks make its rows valid, calls this."""
+        `graph6.decode`, whose byte checks make its rows valid, and
+        `relabeled`, whose rows are a valid graph's renamed by a checked
+        permutation, call this."""
         g = cls.__new__(cls)
         g._set(tuple(map(tuple, rows)))
         return g
@@ -386,9 +388,19 @@ def remove_vertices(g: Graph, gone: Iterable[int]) -> tuple[Graph, list]:
 def relabeled(g: Graph, perm: Iterable[int]) -> Graph:
     """Relabel so vertex v becomes perm[v]."""
     p = list(perm)
-    if sorted(p) != list(range(g.order)):
+    n = g.order
+    if sorted(p) != list(range(n)):
         raise IndexOutOfRange("not a permutation of the vertex set")
-    return Graph.from_edges(g.order, [(p[u], p[v]) for u, v in g.edges()])
+    if set(map(type, p)) - {int}:  # a bool or a float passes the sorted check
+        for v in p:
+            _check_vertex(v, n)
+    # rows of g moved to their new places, with their entries renamed, are
+    # symmetric and in range with no loop or repeat, as g's were
+    rows: list = [None] * n
+    new = p.__getitem__
+    for v, row in zip(p, g.adjacency):
+        rows[v] = sorted(map(new, row))
+    return Graph._from_valid_rows(rows)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

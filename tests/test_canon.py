@@ -20,6 +20,7 @@ from cagekit.canon import (
 from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.families import CirculantSpec, circulant
 from cagekit.graph import Graph, disjoint_union, relabeled
+from cagekit.recipes import Recipe, replay
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
@@ -188,8 +189,26 @@ def test_pruning_keeps_the_least_leaf_under_hidden_symmetry():
             assert certificate(h) == canon_oracle.certificate(h)
 
 
+def _irregular_graphs():
+    rng = random.Random(19)
+    graphs = [g for g in _corpus() if g.order and g.regularity() is None]
+    graphs += [random_graph(n, p, rng) for n in (12, 20, 30) for p in (0.15, 0.3)]
+    graphs += [
+        path_graph(9),
+        complete_bipartite(2, 5),
+        disjoint_union(petersen(), disjoint_union(path_graph(3), Graph.from_edges(2, []))),
+    ]
+    return graphs
+
+
 def test_refine_matches_the_old_refinement():
-    for g in _oracle_graphs():
+    """From all-zero colors with each vertex split off in turn, and on
+    irregular graphs from colorings whose classes mix degrees: a class of
+    two vertices of different degrees beside one class of all the others
+    or beside singletons, and three classes by label mod 3. Signatures of
+    unequal length must order pieces as sorting the tuples does."""
+    irregular = _irregular_graphs()
+    for g in _oracle_graphs() + irregular:
         adj, n = g.adjacency, g.order
         base = canon_oracle.refine(adj, [0] * n)
         assert refine(adj, [0] * n) == base
@@ -197,6 +216,56 @@ def test_refine_matches_the_old_refinement():
             colors = [2 * c for c in base]
             colors[v] -= 1
             assert refine(adj, colors) == canon_oracle.refine(adj, colors)
+    rng = random.Random(29)
+    for g in irregular:
+        adj, n = g.adjacency, g.order
+        pairs = [(u, w) for u, w in combinations(range(n), 2) if len(adj[u]) != len(adj[w])]
+        mixed = [[v % 3 for v in range(n)]]
+        for u, w in rng.sample(pairs, min(len(pairs), 12)):
+            two = [0] * n
+            two[u] = two[w] = 1
+            alone = list(range(n))
+            alone[w] = u
+            mixed += [two, alone]
+        for colors in mixed:
+            assert refine(adj, colors) == canon_oracle.refine(adj, colors)
+
+
+def _replayed_witnesses():
+    """Each Realized witness of four golden spectrum runs, replayed from its
+    seed: subdivisions and amalgams of K4, Petersen and Heawood, one
+    edge-deletion rebuild, and the circulants of (4,4); with its recorded
+    certificate."""
+    runs = (
+        ("report_3_3", complete_graph(4)),
+        ("report_3_5", petersen()),
+        ("report_3_6", heawood()),
+        ("report_4_4", complete_bipartite(4, 4)),
+    )
+    out = []
+    for name, seed in runs:
+        with open(os.path.join(DATA, "golden", name + ".txt"), encoding="ascii") as fh:
+            text = fh.read()
+        lines = text.split("recipes:\n")[1].split("summary:")[0].splitlines()
+        store = {canon_oracle.certificate(seed): seed}
+        for recipe in map(Recipe.from_line, lines):
+            store[recipe.output_cert] = replay(recipe, store.__getitem__)
+            out.append((store[recipe.output_cert], recipe))
+    return out
+
+
+def test_construction_outputs_match_the_old_canonizer():
+    """The graphs spectrum certifies are mostly construction outputs, whose
+    symmetry the search must prune exactly; each one, in its own labels and
+    relabeled, gets the oracle's certificate, the one its run recorded."""
+    rng = random.Random(31)
+    witnesses = _replayed_witnesses()
+    assert {recipe.operation for _, recipe in witnesses} == {
+        "seed", "subdivide_two", "amalgamate", "delete_edges_add_vertices", "circulant"
+    }
+    for g, recipe in witnesses:
+        for h in (g, shuffled(g, rng)):
+            assert certificate(h) == canon_oracle.certificate(h) == recipe.output_cert
 
 
 def test_distance_profiles_are_equal_under_relabeling():

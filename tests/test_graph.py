@@ -231,6 +231,42 @@ def test_constructor_accepts_int_subclasses():
     assert g == Graph([(1,), (0,)]) and g.edges() == ((0, 1),)
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        [float(v) for v in range(10)],
+        [0, 1, 2, 3, 4.0, 5, 6, 7, 8, 9],
+        [True, False, 2, 3, 4, 5, 6, 7, 8, 9],
+        [0, True, 2, 3, 4, 5, 6, 7, 8, 9],
+        [0] * 10,
+        list(range(9)),
+        list(range(11)),
+        list(range(1, 11)),
+    ],
+    ids=["floats", "one-float", "bools", "one-bool", "repeats", "short", "long", "shifted"],
+)
+def test_relabeled_rejects_what_is_not_a_permutation(perm):
+    with pytest.raises(IndexOutOfRange):
+        relabeled(petersen(), perm)
+
+
+def test_relabeled_moves_the_rows():
+    """The rows of g, moved and renamed, are the graph built from g's
+    renamed edge list, with int entries, on irregular and disconnected
+    graphs too."""
+    rng = random.Random(23)
+    graphs = [petersen(), path_graph(7), Graph.from_edges(0, []), Graph.from_edges(3, [])]
+    graphs += [disjoint_union(complete_bipartite(2, 4), Graph.from_edges(2, [])), mcgee()]
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            assert h == Graph.from_edges(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert all(type(w) is int for row in h.adjacency for w in row)
+            assert relabeled(h, sorted(range(g.order), key=perm.__getitem__)) == g
+
+
 def test_surgery():
     k4 = complete_graph(4)
     assert edit(k4, remove=[(0, 1)]).size == 5
