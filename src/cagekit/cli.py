@@ -24,8 +24,12 @@ from .spectrum import (
 )
 
 CONSTRUCT_NAMES = tuple(name for name, op in OPERATIONS.items() if op.arity >= 1)
-# construct's option flags; one not given takes the operation's own default
-_OPTION_FLAGS = ("target_girth", "edges", "vertices", "radius", "root", "e1", "e2", "mode")
+# construct's option flags: the grow keywords of the unary operations, then
+# amalgamate's apply params; one not given takes the operation's own default
+_GROW_OPTIONS = tuple(dict.fromkeys(
+    key for op in OPERATIONS.values() if op.arity == 1 for key in op.options
+))
+_AMALGAM_PARAMS = ("e1", "e2", "mode")
 
 
 def _emit(graphs, path):
@@ -79,9 +83,10 @@ def cmd_girth(args) -> int:
 
 def _construct_one(args, graphs, budget) -> list[tuple[Recipe, Graph]]:
     op = OPERATIONS[args.name]
-    given = {key: getattr(args, key) for key in _OPTION_FLAGS if getattr(args, key) is not None}
+    flags = _GROW_OPTIONS + _AMALGAM_PARAMS
+    given = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     if op.arity == 2:
-        unread = sorted(set(given) - {"e1", "e2", "mode"})
+        unread = sorted(set(given) - set(_AMALGAM_PARAMS))
         if unread:
             raise ParameterOutOfRange(f"{op.name} takes no option {', '.join(unread)}")
         if len(graphs) < 2:
@@ -185,11 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=CONSTRUCT_NAMES)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target-girth", type=int, default=None)
-    p.add_argument("--edges", type=int, default=None)
-    p.add_argument("--vertices", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--root", type=int, default=None)
+    for key in _GROW_OPTIONS:
+        p.add_argument("--" + key.replace("_", "-"), type=int, default=None)
     p.add_argument("--e1", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
     p.add_argument("--e2", type=_parse_edge, default=None, help="edge as u,v (amalgamate)")
     p.add_argument("--mode", choices=AMALGAMATE_MODES, default=None)

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .graph import (
     ACYCLIC,
-    UNREACHABLE,
     Graph,
     bfs_distances,
     bipartition,
@@ -233,16 +232,16 @@ def find_double_matching(
     Returns (pi, joined) or None: pi as a list (copy-one leaf index i pairs
     with copy-two leaf index pi[i]) and the two copies joined by it. A new
     cycle through two join edges has length d(a,b) + d(a',b') + 2, which is
-    required to reach girth_floor; full assignments are re-checked on the
-    assembled graph. The identity bijection is explored first.
+    required to reach girth_floor; as d(a',b') >= 1, a pair beyond the
+    radius girth_floor - 3 of each leaf's BFS is _FAR and passes. Full
+    assignments are re-checked on the assembled graph. The identity
+    bijection is explored first.
     """
     t = len(leaves)
-    dist = [[0] * t for _ in range(t)]
-    for i in range(t):
-        row = h.distances_from(leaves[i])
-        for j in range(t):
-            d = row[leaves[j]]
-            dist[i][j] = _FAR if d is UNREACHABLE else d
+    dist = []
+    for leaf in leaves:
+        row = bfs_distances(h.adjacency, leaf, girth_floor - 3)
+        dist.append([_FAR if row[b] < 0 else row[b] for b in leaves])
     perm = [-1] * t
     used = [False] * t
 

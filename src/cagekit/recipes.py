@@ -263,19 +263,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
 )}
 
 
-def dedup_first(pairs: Iterable[Emitted]) -> list[Emitted]:
-    """Keep the first representative of each isomorphism class."""
-    seen: set[str] = set()
-    out: list[Emitted] = []
-    for params, h in pairs:
-        cert = certificate(h)
-        if cert in seen:
-            continue
-        seen.add(cert)
-        out.append((params, h))
-    return out
-
-
 def construct(
     name: str,
     parent: Graph,
@@ -304,7 +291,10 @@ def construct(
     missing = [k for k, p in op.options.items() if options.get(k, p) is None is not p.default]
     if missing:
         raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")
-    return dedup_first(op.grow((parent,), budget, **options))
+    firsts: dict[str, Emitted] = {}
+    for params, h in op.grow((parent,), budget, **options):
+        firsts.setdefault(certificate(h), (params, h))
+    return list(firsts.values())
 
 
 def _is_int(value) -> bool:
@@ -395,9 +385,12 @@ def write_recipes(path: str | os.PathLike, recipes: Iterable[Recipe]) -> int:
 
 def read_recipes(path: str | os.PathLike) -> list[Recipe]:
     out = []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
+    with open(path, encoding="latin-1") as fh:  # one char per byte; decoded per line
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line = line.encode("latin-1").decode("ascii").strip()
+            except UnicodeDecodeError as err:
+                raise MalformedInput(f"{os.fspath(path)}:{lineno}: {err}") from None
             if line and not line.startswith("#"):
                 out.append(Recipe.from_line(line))
     return out

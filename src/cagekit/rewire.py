@@ -132,16 +132,19 @@ def _one_per_orbit(
 
     Items are sorted index tuples into a ground set, the vertices or the
     edges of g, as `combinations` yields them, and an orbit member is keyed
-    by the bit mask of its indices. `action(g, p)` checks a generator p and
-    turns it into an index map q on that ground set, once per generator,
-    kept with its row of bits 1 << q[i]. A member is expanded as an unsorted
-    index list x: its image has the mask summed from that row over x, and
-    the list [q[i] for i in x]. The generators are fetched only when a
-    second item is asked for, so a search whose first deletion succeeds
-    never needs them.
+    by the bit mask of its indices. The generators are read once, before
+    the first item; `action(g, p)` checks each generator p and turns it into
+    an index map q on that ground set, kept with its row of bits 1 << q[i].
+    A member is expanded as an unsorted index list x: its image has the mask
+    summed from that row over x, and the list [q[i] for i in x].
     """
-    items = iter(items)
-    maps = None
+    maps = []
+    for p in automorphism_generators(g):
+        q = action(g, p)
+        maps.append((q, [1 << j for j in q].__getitem__))
+    if not maps:  # a trivial group: every orbit is one item
+        yield from items
+        return
     pending: set[int] = set()  # masks of orbit members not met yet
     for item in items:
         key = sum([1 << i for i in item])
@@ -149,14 +152,6 @@ def _one_per_orbit(
             pending.discard(key)  # each item is met once; free its slot
             continue
         yield item
-        if maps is None:
-            maps = []
-            for p in automorphism_generators(g):
-                q = action(g, p)
-                maps.append((q, [1 << j for j in q].__getitem__))
-            if not maps:  # a trivial group: every orbit is one item
-                yield from items
-                return
         stack = [item]
         orbit = {key}
         while stack:

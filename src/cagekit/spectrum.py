@@ -89,11 +89,14 @@ class SpectrumReport:
 
 
 def parse_citations(path: str | os.PathLike) -> dict[tuple[int, int, int], str]:
-    """Read lines of the form 'k g n reason'; '#' starts a comment."""
+    """Read UTF-8 lines of the form 'k g n reason'; '#' starts a comment."""
     table: dict[tuple[int, int, int], str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="latin-1") as fh:  # one char per byte; decoded per line
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            try:
+                line = line.encode("latin-1").decode("utf-8").strip()
+            except UnicodeDecodeError as err:
+                raise MalformedInput(f"{os.fspath(path)}:{lineno}: {err}") from None
             if not line or line.startswith("#"):
                 continue
             try:

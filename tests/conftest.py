@@ -1,4 +1,5 @@
-"""Session fixtures: spectrum runs shared across test modules."""
+"""Session fixtures: spectrum runs and the cubic brute force shared across
+test modules."""
 from __future__ import annotations
 
 import os
@@ -6,6 +7,7 @@ import os
 import pytest
 
 from cagekit import graph6, spectrum
+from cagekit.canon import certificate
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
@@ -14,6 +16,7 @@ from cagekit.named import (
     tutte_coxeter,
 )
 from cagekit.spectrum import SearchConfig
+from helpers import brute_girth, labeled_regular_graphs
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEED34 = os.path.join(DATA, "seeds", "k3g8", "seed34.g6")
@@ -23,6 +26,15 @@ SEED34 = os.path.join(DATA, "seeds", "k3g8", "seed34.g6")
 def budget_steps():
     """Budget steps each session run's engine spent, by fixture name."""
     return {}
+
+
+@pytest.fixture(scope="session")
+def cubic_brute_force():
+    """For n = 4, 6 and 8: the certificate of every connected labeled cubic
+    graph on n vertices, mapped to its brute-force girth."""
+    return {n: {certificate(g): brute_girth(g)
+                for g in labeled_regular_graphs(n, 3) if g.is_connected()}
+            for n in (4, 6, 8)}
 
 
 def _search(steps, name, k, g, seeds, horizon, config=SearchConfig(), citations=None):

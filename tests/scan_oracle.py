@@ -1,9 +1,12 @@
-"""Reference subdivision scans for tests: one `Graph.edge_distance` call per
-endpoint pair of each candidate.
+"""Reference construction scans for tests.
 
-These are the plain loops the library's bit-row scans replaced. The library
-must agree with them: the same (params, graph) list in the same order, the
-same budget steps spent, and `BudgetExhausted` after the same prefix.
+The subdivision scans make one `Graph.edge_distance` call per endpoint pair
+of each candidate: the plain loops the library's bit-row scans replaced. The
+library must agree with them: the same (params, graph) list in the same
+order, the same budget steps spent, and `BudgetExhausted` after the same
+prefix. `find_double_matching` reads every leaf distance from a full BFS;
+the library's search, which cuts each BFS short, must return the same
+bijection and joined graph after the same budget steps.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from itertools import combinations
 from typing import Iterator
 
 from cagekit.constructions import (
+    _join_copies,
     apply_subdivide_merge,
     apply_subdivide_pair,
     apply_subdivide_triple,
@@ -88,3 +92,42 @@ def iter_subdivide_merge(
         if hg is ACYCLIC or hg < required:
             continue
         yield {"e1": list(e1), "e2": list(e2)}, h
+
+
+def find_double_matching(
+    h: Graph, leaves: list[int], girth_floor: int, budget: Budget
+) -> tuple[list[int], Graph] | None:
+    """Leaf bijection search over the full distances between leaves of h."""
+    t = len(leaves)
+    dist = [[0] * t for _ in range(t)]
+    for i in range(t):
+        row = h.distances_from(leaves[i])
+        for j in range(t):
+            d = row[leaves[j]]
+            dist[i][j] = 10**9 if d is UNREACHABLE else d
+    perm = [-1] * t
+    used = [False] * t
+
+    def search(i: int) -> tuple[list[int], Graph] | None:
+        if i == t:
+            built = _join_copies(h, leaves, perm)
+            bg = built.girth()
+            if bg is not ACYCLIC and bg >= girth_floor:
+                return list(perm), built
+            return None
+        for c in [i] + [c for c in range(t) if c != i]:
+            if used[c]:
+                continue
+            budget.spend()
+            if any(dist[i][j] + dist[perm[j]][c] + 2 < girth_floor for j in range(i)):
+                continue
+            perm[i] = c
+            used[c] = True
+            found = search(i + 1)
+            if found is not None:
+                return found
+            perm[i] = -1
+            used[c] = False
+        return None
+
+    return search(0)

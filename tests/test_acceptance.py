@@ -25,7 +25,7 @@ from cagekit.named import (
 from cagekit.recipes import construct, verified_replay
 from cagekit.spectrum import OrderState, infer_N
 from conftest import SEED34
-from helpers import all_labeled_graphs, brute_girth, labeled_regular_graphs, random_graph, shuffled
+from helpers import all_labeled_graphs, brute_girth, random_graph, shuffled
 
 
 def evens(lo, hi):
@@ -124,7 +124,7 @@ def test_criterion_09_canonical_double_covers():
         assert is_isomorphic(comp, k33)
 
 
-def test_criterion_10_enumeration_oracle():
+def test_criterion_10_enumeration_oracle(cubic_brute_force):
     assert enumerate_regular(EnumSpec(4, 9, 4)) == []
     assert enumerate_regular(EnumSpec(3, 12, 6)) == []
     only = enumerate_regular(EnumSpec(3, 10, 5))
@@ -133,10 +133,7 @@ def test_criterion_10_enumeration_oracle():
     assert len(only) == 1 and is_isomorphic(only[0], heawood())
     for n, expected in ((4, 1), (6, 2), (8, 5)):
         mine = {certificate(g) for g in enumerate_regular(EnumSpec(3, n, 3))}
-        brute = set()
-        for g in labeled_regular_graphs(n, 3):
-            if g.is_connected():
-                brute.add(certificate(g))
+        brute = set(cubic_brute_force[n])
         assert len(mine) == expected
         assert mine == brute
 

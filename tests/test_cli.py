@@ -242,12 +242,14 @@ def test_generators_stream_to_stdout(capsys):
 
 
 def test_construct_flags_cover_every_unary_option():
+    """construct's option flags are the unary operations' options plus
+    amalgamate's e1, e2 and mode, with none left over."""
     actions = build_parser()._actions
     [sub] = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
-    dests = {action.dest for action in sub.choices["construct"]._actions}
-    for op in recipes.OPERATIONS.values():
-        if op.arity == 1:
-            assert set(op.options) <= dests, op.name
+    flags = {s for a in sub.choices["construct"]._actions for s in a.option_strings}
+    flags -= {"-h", "--help", "--in", "--out", "--budget"}
+    unary = {key for op in recipes.OPERATIONS.values() if op.arity == 1 for key in op.options}
+    assert flags == {"--" + key.replace("_", "-") for key in unary | {"e1", "e2", "mode"}}
 
 
 @pytest.mark.parametrize("argv, operation, graph", [
@@ -354,6 +356,19 @@ def test_malformed_citation_line_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "MalformedInput" in err
     assert f"{cites}:2:" in err
+
+
+def test_citations_that_are_not_utf8_exit_one(tmp_path, capsys):
+    seeds = tmp_path / "seeds" / "k3g8"
+    seeds.mkdir(parents=True)
+    cites = tmp_path / "cites.txt"
+    cites.write_bytes(b"3 8 32 caf\xe9\n")
+    code = main(
+        ["spectrum", "--k", "3", "--g", "8", "--horizon", "40",
+         "--seeds", str(tmp_path / "seeds"), "--citations", str(cites)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: MalformedInput: {cites}:1: ")
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):

@@ -38,6 +38,7 @@ from cagekit.graph import (
     Graph,
     bipartition,
     disjoint_union,
+    edit,
     remove_vertices,
 )
 from cagekit.limits import Budget
@@ -54,6 +55,7 @@ from cagekit.named import (
 from cagekit.recipes import apply_operation, construct
 import canon_oracle
 import scan_oracle
+from conftest import SEED34
 from helpers import random_graph, shuffled
 
 
@@ -389,6 +391,42 @@ def test_moore_double_rejects_its_input_at_the_first_next(g, r, error):
 def test_moore_tree_double_heawood():
     [(_, h)] = construct("moore_tree_double", heawood(), radius=1, root=0)
     assert_regular(h, 3, 20, 6)
+
+
+def _doubling_cases():
+    seed34 = graph6.read_file(SEED34)[0]
+    named = [petersen(), heawood(), mcgee(), tutte_coxeter(), seed34]
+    # vertex 13 cuts this cubic girth-4 graph: its neighbours 12, 6 and 9
+    # lie in a K3,3 with edge (0, 3) subdivided and one less edge (6, 9)
+    k33 = complete_bipartite(3, 3)
+    cut = edit(disjoint_union(k33, k33), remove=[(0, 3), (6, 9)], new_vertices=2,
+               add=[(0, 12), (12, 3), (13, 12), (13, 6), (13, 9)])
+    # in two Petersens the far copy stays whole beside the leaves' component
+    for g in named + [cut, disjoint_union(petersen(), petersen())]:
+        gg = g.girth()
+        for r in range(gg // 4 + 1):
+            for root in range(g.order):
+                try:
+                    h, leaves = constructions._doubling_parts(g, r, root)
+                except TreeNotInduced:
+                    continue
+                yield h, leaves, gg
+
+
+def test_double_matching_matches_the_full_distance_oracle():
+    """Leaf distances cut at girth_floor - 3 give the bijection, joined graph
+    and budget steps of full distances, at every root and radius of each
+    graph, including an h whose leaves lie in different components."""
+    cases = apart = 0
+    for h, leaves, gg in _doubling_cases():
+        got, want = Budget(), Budget()
+        found = constructions.find_double_matching(h, leaves, gg, got)
+        assert found is not None
+        assert found == scan_oracle.find_double_matching(h, leaves, gg, want)
+        assert got.remaining == want.remaining
+        cases += 1
+        apart += any(h.distance(leaves[0], b) is UNREACHABLE for b in leaves)
+    assert cases > 300 and apart > 0
 
 
 def test_perfect_matching_removal():

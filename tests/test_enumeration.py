@@ -21,10 +21,10 @@ def classes_by_brute_force(n: int, k: int, min_girth: int) -> set[str]:
     return out
 
 
-def test_connected_cubic_counts_match_brute_force():
+def test_connected_cubic_counts_match_brute_force(cubic_brute_force):
     for n, expected in ((4, 1), (6, 2), (8, 5)):
         found = enumerate_regular(EnumSpec(3, n, 3))
-        brute = classes_by_brute_force(n, 3, 3)
+        brute = {c for c, gg in cubic_brute_force[n].items() if gg is not None and gg >= 3}
         assert len(found) == len(brute) == expected
         assert {certificate(g) for g in found} == brute
 

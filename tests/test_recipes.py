@@ -169,6 +169,15 @@ def test_malformed_line_rejected(line):
         Recipe.from_line(line)
 
 
+def test_a_recipe_file_that_is_not_ascii_names_the_line(tmp_path):
+    path = tmp_path / "bad.recipes"
+    line = Recipe("seed", (), {}, certificate(petersen())).to_line()
+    path.write_bytes(f"# recipes\n{line}\n{line}\xe9\n".encode("latin-1"))
+    with pytest.raises(MalformedInput) as err:
+        read_recipes(path)
+    assert str(err.value).startswith(f"{path}:3: 'ascii' codec can't decode byte 0xe9")
+
+
 def test_replay_checks_parent_count():
     p = petersen()
     params = {"e1": [0, 1], "e2": [0, 1], "mode": "cross"}

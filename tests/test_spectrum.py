@@ -463,6 +463,15 @@ def test_seed_and_citation_files(tmp_path):
             parse_citations(table)
 
 
+def test_citations_are_decoded_line_by_line(tmp_path):
+    table = tmp_path / "citations.txt"
+    table.write_bytes("3 8 32 café\n".encode() + b"3 8 34 caf\xe9\n")
+    with pytest.raises(MalformedInput, match=":2: 'utf-8' codec can't decode byte 0xe9"):
+        parse_citations(table)
+    table.write_bytes("# señal\r\n3 8 32 café\r\n".encode())
+    assert parse_citations(table) == {(3, 8, 32): "café"}
+
+
 def test_infer_N_needs_full_window():
     report = spectrum_search(3, 5, [petersen()], 14)
     assert sorted(report.realized_orders()) == [10, 12, 14]
