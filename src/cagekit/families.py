@@ -41,9 +41,7 @@ def circulant(spec: CirculantSpec) -> Graph:
         raise InvalidConnectingSet("connecting set may not contain 0")
     if any((-s) % n not in S for s in S):
         raise InvalidConnectingSet("connecting set must be inverse-closed")
-    edges = {(min(i, j), max(i, j)) for i in range(n) for s in S
-             for j in [(i + s) % n]}
-    g = Graph.from_edges(n, sorted(edges))
+    g = Graph([(i + s) % n for s in S] for i in range(n))
     if not g.is_connected():
         raise InvalidConnectingSet("connecting set does not generate Z_n")
     return g
@@ -60,21 +58,15 @@ def quartic_parity_graph(n: int) -> Graph:
     """4-regular girth-6 graphs on even n >= 26 via a parity adjacency rule.
 
     Odd i links forward to i+7 and i+11, even i links backward; with the
-    ring edges i±1 every vertex gets degree 4 and each chord is generated
-    consistently from both endpoints.
+    ring edges i±1 every vertex gets degree 4, and each chord is in the
+    rows of both its endpoints.
     """
     if n % 2 != 0:
         raise OddOrder("the parity rule needs an even order")
     if n < 26:
         raise OrderTooSmall("the parity rule needs order at least 26")
-    edges = set()
-    for i in range(n):
-        edges.add((min(i, (i + 1) % n), max(i, (i + 1) % n)))
-        if i % 2 == 1:
-            for jump in (7, 11):
-                j = (i + jump) % n
-                edges.add((min(i, j), max(i, j)))
-    return Graph.from_edges(n, sorted(edges))
+    jumps = ((-1, 1, -7, -11), (-1, 1, 7, 11))  # even i, odd i
+    return Graph([(i + d) % n for d in jumps[i % 2]] for i in range(n))
 
 
 def gdgp(spec: GdgpSpec) -> Graph:
@@ -96,12 +88,9 @@ def gdgp(spec: GdgpSpec) -> Graph:
             raise SpecViolation(
                 f"offsets at blocks {j} and {(j - a) % m} cancel mod {n}"
             )
-    edges = [(i, (i + 1) % n) for i in range(n - 1)] + [(0, n - 1)]
-    edges += [(i, n + i) for i in range(n)]
-    inner = set()
-    for x in range(n):
-        y = (x + K[x % m]) % n
-        if y == x:
-            raise SpecViolation("chord offset of 0 mod the half-order")
-        inner.add((n + min(x, y), n + max(x, y)))
-    return Graph.from_edges(2 * n, edges + sorted(inner))
+    # v_x's chords go to x + k_{x mod m} and back to x - k_b, b = (x - a) mod m,
+    # the one block whose chords land on x. No offset is 0 mod n (each is
+    # a != 0 mod m, and m divides n) and no two cancel, so the ends differ.
+    rim = [((i - 1) % n, (i + 1) % n, n + i) for i in range(n)]
+    inner = [(x, n + (x + K[x % m]) % n, n + (x - K[(x - a) % m]) % n) for x in range(n)]
+    return Graph(rim + inner)

@@ -34,9 +34,13 @@ def encode(g: Graph) -> str:
     if n > _MAX_ORDER:
         raise OrderTooLarge(f"order {n} exceeds graph6 cap {_MAX_ORDER}")
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for i, j in g.edges():
-        p = (j * (j - 1) >> 1) + i
-        body[p // 6] |= 32 >> (p % 6)
+    for j, row in enumerate(g.adjacency):
+        base = j * (j - 1) >> 1
+        for i in row:  # sorted, so the entries below the diagonal come first
+            if i >= j:
+                break
+            p = base + i
+            body[p // 6] |= 32 >> (p % 6)
     return _encode_order(n) + body.translate(_PLUS_63).decode("ascii")
 
 

@@ -389,8 +389,8 @@ def read_recipes(path: str | os.PathLike) -> list[Recipe]:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line = line.encode("latin-1").decode("ascii").strip()
-            except UnicodeDecodeError as err:
+                if line and not line.startswith("#"):
+                    out.append(Recipe.from_line(line))
+            except (UnicodeDecodeError, MalformedInput) as err:
                 raise MalformedInput(f"{os.fspath(path)}:{lineno}: {err}") from None
-            if line and not line.startswith("#"):
-                out.append(Recipe.from_line(line))
     return out

@@ -1,5 +1,8 @@
-"""Reference read path for tests: the plain bit-by-bit graph6 decoder and the
-all-roots girth BFS.
+"""Reference codec and read path for tests: the edge-list graph6 encoder, the
+plain bit-by-bit decoder and the all-roots girth BFS.
+
+`encode` sets one payload bit per pair of `g.edges()`; the library's encoder
+walks the rows instead and must give the same line for every graph.
 
 `decode` walks every bit of the upper triangle through one big integer, and
 `girth` runs a full BFS from every root over the whole graph. The library's
@@ -16,6 +19,27 @@ from cagekit.graph import ACYCLIC, Graph
 
 _HEADER = ">>graph6<<"
 _MAX_ORDER = 2 ** 18
+
+
+def _encode_order(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+
+
+def encode(g: Graph) -> str:
+    """Encode one graph as a graph6 line from its edge list: bit p stands for
+    the pair (i, j), i < j, with p = j(j-1)/2 + i, six bits to a byte."""
+    n = g.order
+    if n > _MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds graph6 cap {_MAX_ORDER}")
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():
+        p = (j * (j - 1) >> 1) + i
+        body[p // 6] |= 32 >> (p % 6)
+    return _encode_order(n) + "".join(chr(v + 63) for v in body)
 
 
 def decode(line: str) -> Graph:

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 import canon_oracle
+import read_oracle
 from cagekit import canon, graph6
 from cagekit.canon import (
     automorphism_generators,
@@ -176,6 +177,15 @@ def test_certificates_match_the_old_canonizer():
     for g in _oracle_graphs():
         for h in (g, shuffled(g, rng)):
             assert certificate(h) == canon_oracle.certificate(h)
+
+
+def test_encode_matches_the_edge_list_encoder_on_the_oracle_graphs():
+    """Each oracle graph and its canonical form, which a certificate encodes."""
+    for g in _oracle_graphs():
+        for h in (g, canonical_form(g)):
+            line = graph6.encode(h)
+            assert line == read_oracle.encode(h)
+            assert graph6.decode(line) == h
 
 
 def test_pruning_keeps_the_least_leaf_under_hidden_symmetry():

@@ -1,8 +1,11 @@
 """Circulants, GDGP catalog graphs, and the even-order quartic family."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
+import family_oracle
 from cagekit.canon import is_isomorphic
 from cagekit.errors import (
     InvalidConnectingSet,
@@ -94,3 +97,81 @@ def test_quartic_parity_rejects():
         quartic_parity_graph(27)
     with pytest.raises(OrderTooSmall):
         quartic_parity_graph(24)
+
+
+def _same_outcome(build, oracle, *args):
+    """build(*args) and oracle(*args) give equal rows, or raise the same
+    exception type with the same message; returns the error type or None."""
+    try:
+        want = oracle(*args)
+    except Exception as err:
+        with pytest.raises(type(err)) as got:
+            build(*args)
+        assert type(got.value) is type(err) and str(got.value) == str(err), args
+        return type(err)
+    got = build(*args)
+    assert got.adjacency == want.adjacency, args
+    return None
+
+
+def test_circulants_match_the_edge_set_builder():
+    for n in range(8, 201):
+        assert _same_outcome(circulant44, family_oracle.circulant44, n) is None
+    specs = [
+        CirculantSpec(10, (1, 11, 9)),   # 1 and 11 are one residue
+        CirculantSpec(10, (1, 5, 9)),    # the half-turn jump s = n/2
+        CirculantSpec(8, (4, 1, 7, 12)), # the half-turn jump twice
+        CirculantSpec(12, (2, 6, 10, 1, 11, 13)),
+        CirculantSpec(1, ()),
+        CirculantSpec(2, (1,)),
+    ]
+    errors = [
+        CirculantSpec(6, (0, 1, 5)),     # 0 in S
+        CirculantSpec(10, (1, 11)),      # duplicate residue, not inverse-closed
+        CirculantSpec(6, (1, 2)),        # not inverse-closed
+        CirculantSpec(10, (5,)),         # the half-turn jump alone
+        CirculantSpec(10, (2, 8, 12)),   # even jumps only
+        CirculantSpec(6, (2, 4)),        # generates only the evens
+        CirculantSpec(7, (0,)),
+    ]
+    for spec in specs:
+        assert _same_outcome(circulant, family_oracle.circulant, spec) is None
+    for spec in errors:
+        assert _same_outcome(circulant, family_oracle.circulant, spec) is InvalidConnectingSet
+    for n in range(1, 8):
+        assert _same_outcome(circulant44, family_oracle.circulant44, n) is OrderTooSmall
+
+
+def test_quartic_parity_graphs_match_the_edge_set_builder():
+    for n in range(26, 401, 2):
+        assert _same_outcome(quartic_parity_graph, family_oracle.quartic_parity_graph, n) is None
+    for n, error in ((27, OddOrder), (101, OddOrder), (24, OrderTooSmall), (0, OrderTooSmall)):
+        assert _same_outcome(quartic_parity_graph, family_oracle.quartic_parity_graph, n) is error
+
+
+def test_gdgp_matches_the_edge_set_builder():
+    for spec, _, _ in GDGP_CATALOG:
+        assert _same_outcome(gdgp, family_oracle.gdgp, spec) is None
+    messages = set()
+    for spec in (
+        GdgpSpec(1, 18, (5,)),
+        GdgpSpec(2, 2, (1, 1)),
+        GdgpSpec(4, 18, (5, 5, 5, 5)),
+        GdgpSpec(2, 18, (5,)),
+        GdgpSpec(2, 18, (4, 4)),
+        GdgpSpec(4, 36, (5, 7, 5, 5)),
+        GdgpSpec(2, 18, (5, 13)),
+    ):
+        assert _same_outcome(gdgp, family_oracle.gdgp, spec) is SpecViolation
+        with pytest.raises(SpecViolation) as err:
+            gdgp(spec)
+        messages.add(str(err.value).split()[0])
+    assert messages == {"need", "block", "chord", "all", "offsets"}
+    # every spec with m = 2, 3 and offsets in -7..7 on a small half-order:
+    # built or rejected alike, and an offset of 0 mod n is always rejected
+    # before any chord is drawn
+    built = 0
+    for m, n in ((2, 4), (2, 6), (3, 3), (3, 6), (3, 9)):
+        for K in product(range(-7, 8), repeat=m):
+            built += _same_outcome(gdgp, family_oracle.gdgp, GdgpSpec(m, n, K)) is None
+    assert built > 100

@@ -7,7 +7,7 @@ import pytest
 
 from cagekit import graph6
 from cagekit.errors import MalformedGraph6, OrderTooLarge
-from cagekit.graph import Graph
+from cagekit.graph import Graph, disjoint_union
 from cagekit.named import complete_graph, cycle_graph, petersen
 
 import read_oracle
@@ -25,6 +25,27 @@ def test_encode_matches_independent_packer():
     for _ in range(200):
         g = random_graph(rng.randint(0, 130), rng.choice([0.0, 0.02, 0.3, 0.6, 1.0]), rng)
         assert graph6.encode(g) == pack_graph6(g.order, g.edges())
+
+
+def test_encode_matches_the_edge_list_encoder():
+    # encode walks each sorted row up to the diagonal; the oracle sets one bit
+    # per edge-list pair. K_n sets every payload bit and crosses the 4-byte
+    # order field at 63; the random graphs keep some vertices isolated, and
+    # the unions are disconnected with edges on both sides of the seam.
+    rng = random.Random(27)
+    cases = [complete_graph(n) for n in range(71)]
+    for _ in range(40):
+        n = rng.randint(2, 90)
+        g = random_graph(n, rng.choice([0.02, 0.1, 0.4]), rng)
+        isolated = rng.randint(1, 5)
+        cases.append(disjoint_union(g, Graph.from_edges(isolated, [])))
+        cases.append(disjoint_union(Graph.from_edges(isolated, []), g))
+        cases.append(disjoint_union(g, random_graph(rng.randint(1, 40), 0.3, rng)))
+    cases += [disjoint_union(petersen(), complete_graph(n)) for n in (1, 5, 53, 54)]
+    for g in cases:
+        line = graph6.encode(g)
+        assert line == read_oracle.encode(g)
+        assert graph6.decode(line) == g
 
 
 def _sample_graphs(rng, count):

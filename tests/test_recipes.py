@@ -178,6 +178,16 @@ def test_a_recipe_file_that_is_not_ascii_names_the_line(tmp_path):
     assert str(err.value).startswith(f"{path}:3: 'ascii' codec can't decode byte 0xe9")
 
 
+def test_a_malformed_recipe_line_names_its_file_and_line(tmp_path):
+    path = tmp_path / "bad.recipes"
+    path.write_text("# x\nop=seed out=x\n", encoding="ascii")
+    with pytest.raises(MalformedInput) as err:
+        read_recipes(path)
+    assert str(err.value) == (
+        f"{path}:2: bad recipe line 'op=seed out=x': KeyError('parents')"
+    )
+
+
 def test_replay_checks_parent_count():
     p = petersen()
     params = {"e1": [0, 1], "e2": [0, 1], "mode": "cross"}
