@@ -186,9 +186,6 @@ def _canonical_perm(g: Graph) -> list[int]:
     """Permutation old->new giving the canonical labeling; stores the
     automorphisms the search finds in `g._autos`."""
     n = g.order
-    if n == 0:
-        g._autos = []
-        return []
     adj = g.adjacency
     cell_of, order, size = _stable_partition(adj, _distance_profiles(adj))
 

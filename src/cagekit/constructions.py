@@ -54,10 +54,11 @@ def _far_rows(g: Graph, floor: int) -> Callable[[int], int]:
     """Compatibility rows over g.edges(), built on first use.
 
     Bit j of row(i) is set exactly when edges i and j are at edge distance
-    at least floor (g.edge_distance), or in different components. Edge
-    distance is the closest endpoint pair plus one, so that holds when no
-    endpoint of edge j lies within floor - 2 of an endpoint of edge i: row(i)
-    is every edge that touches neither endpoint's ball of that radius.
+    at least floor, or in different components. The edge distance of two
+    distinct edges is the distance of their closest endpoint pair plus one,
+    so that holds when no endpoint of edge j lies within floor - 2 of an
+    endpoint of edge i: row(i) is every edge that touches neither
+    endpoint's ball of that radius.
     """
     edges = g.edges()
     radius = floor - 2

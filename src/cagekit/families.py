@@ -19,9 +19,12 @@ class CirculantSpec:
     S: tuple[int, ...]
 
     def __post_init__(self):
+        S = tuple(self.S)
+        if not all(type(x) is int for x in (self.n, *S)):
+            raise InvalidConnectingSet("order and connecting set must be integers")
         if self.n < 1:
             raise InvalidConnectingSet("order must be positive")
-        object.__setattr__(self, "S", tuple(sorted(s % self.n for s in self.S)))
+        object.__setattr__(self, "S", tuple(sorted(s % self.n for s in S)))
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,10 @@ class GdgpSpec:
     K: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "K", tuple(self.K))
+        K = tuple(self.K)
+        if not all(type(x) is int for x in (self.m, self.n, *K)):
+            raise SpecViolation("block count, half-order and chord offsets must be integers")
+        object.__setattr__(self, "K", K)
 
 
 def circulant(spec: CirculantSpec) -> Graph:

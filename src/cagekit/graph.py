@@ -20,7 +20,7 @@ class _Sentinel:
 
 #: girth() result for forests.
 ACYCLIC = _Sentinel("Acyclic")
-#: distance() result across components.
+#: distances_from() entry for a vertex in another component.
 UNREACHABLE = _Sentinel("Unreachable")
 
 
@@ -182,12 +182,6 @@ class Graph:
         self._dist[src] = out
         return out
 
-    def distance(self, u: int, v: int):
-        """Shortest-path length, or UNREACHABLE across components."""
-        _check_vertex(u, self.order)
-        _check_vertex(v, self.order)
-        return self.distances_from(u)[v]
-
     def is_connected(self) -> bool:
         if self.order == 0:
             raise ZeroOrder("connectivity of the empty graph is undefined")
@@ -269,26 +263,6 @@ class Graph:
         if v not in self._adj[u]:
             raise NotAnEdge(f"{u}-{v} is not an edge")
         return (u, v)
-
-    def edge_distance(self, e1: tuple[int, int], e2: tuple[int, int]):
-        """Min distance over the four endpoint pairs, plus one.
-
-        Distinct adjacent edges are at distance 1; identical edges are
-        rejected with SameEdge.
-        """
-        e1 = self.as_edge(e1)
-        e2 = self.as_edge(e2)
-        if e1 == e2:
-            raise SameEdge(f"edge distance of {e1} to itself")
-        d1 = self.distances_from(e1[0])
-        d2 = self.distances_from(e1[1])
-        best = None
-        for d in (d1[e2[0]], d1[e2[1]], d2[e2[0]], d2[e2[1]]):
-            if d is UNREACHABLE:
-                continue
-            if best is None or d < best:
-                best = d
-        return UNREACHABLE if best is None else best + 1
 
 
 # -- surgery (all return new graphs) ------------------------------------------

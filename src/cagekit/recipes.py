@@ -277,8 +277,8 @@ def construct(
     `vertices` for delete_vertices or `radius` and `root` for
     moore_tree_double); one left out takes its grow default. A
     `target_girth` other than None is one of them. A keyword the operation
-    does not name, then None for one whose default is not None, is a
-    `ParameterOutOfRange`.
+    does not name, then a value that is neither None nor an int, then None
+    for one whose default is not None, is a `ParameterOutOfRange`.
     """
     op = OPERATIONS.get(name)
     if op is None or op.arity != 1 or op.grow is None:
@@ -288,6 +288,9 @@ def construct(
     unknown = sorted(set(options) - set(op.options))
     if unknown:
         raise ParameterOutOfRange(f"{name} takes no option {', '.join(unknown)}")
+    wrong = [k for k, v in options.items() if v is not None and not _is_int(v)]
+    if wrong:
+        raise ParameterOutOfRange(f"{name} option {', '.join(wrong)} must be an integer")
     missing = [k for k, p in op.options.items() if options.get(k, p) is None is not p.default]
     if missing:
         raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")

@@ -188,11 +188,15 @@ def _edge_partials(
                rows_without_edges(g, combo, num_vertices))
 
 
-def _target_girth(g: Graph, target_girth: int | None) -> int:
-    """The target girth, by default the parent's, which a forest lacks."""
+def _target_girth(g: Graph, target_girth: int | None) -> tuple[int, int]:
+    """The parent's degree k and the target girth, by default the parent's,
+    which a forest lacks; a parent that is not regular has no k."""
     if target_girth is None and g.girth() is ACYCLIC:
         raise ParameterOutOfRange("input graph has no cycle")
-    return g.girth() if target_girth is None else target_girth
+    k = g.regularity()
+    if k is None:
+        raise DegreeMismatch("input must be regular")
+    return k, g.girth() if target_girth is None else target_girth
 
 
 def _girth_at_least(g: Graph, floor: int) -> bool:
@@ -248,10 +252,7 @@ def iter_delete_edges_add_vertices(
     budget: Budget | int | None = None,
 ) -> Iterator[Emitted]:
     """Completions for the first edge-deletion combination that admits any."""
-    target_girth = _target_girth(g, target_girth)
-    k = g.regularity()
-    if k is None:
-        raise DegreeMismatch("input must be regular")
+    k, target_girth = _target_girth(g, target_girth)
     if num_edges < 0 or num_vertices < 0 or target_girth < 3:
         raise ParameterOutOfRange("counts must be nonnegative, girth at least 3")
     if (2 * num_edges + k * num_vertices) % 2 != 0:
@@ -275,10 +276,7 @@ def iter_delete_vertices(
     budget: Budget | int | None = None,
 ) -> Iterator[Emitted]:
     """Completions for the first vertex-deletion combination that admits any."""
-    target_girth = _target_girth(g, target_girth)
-    k = g.regularity()
-    if k is None:
-        raise DegreeMismatch("input must be regular")
+    k, target_girth = _target_girth(g, target_girth)
     if not 1 <= num_vertices <= 4:
         raise TooManyVertices("vertex deletion is limited to 1..4 vertices")
     if target_girth < 3:

@@ -1,7 +1,7 @@
 """Reference construction scans for tests.
 
-The subdivision scans make one `Graph.edge_distance` call per endpoint pair
-of each candidate: the plain loops the library's bit-row scans replaced. The
+The subdivision scans make one `edge_distance` call per endpoint pair of
+each candidate: the plain loops the library's bit-row scans replaced. The
 library must agree with them: the same (params, graph) list in the same
 order, the same budget steps spent, and `BudgetExhausted` after the same
 prefix. `find_double_matching` reads every leaf distance from a full BFS;
@@ -35,8 +35,16 @@ def _required_girth(g: Graph, target_girth: int | None) -> int:
     return target_girth
 
 
+def edge_distance(g: Graph, e1, e2):
+    """The distance of the closest endpoint pair of two distinct edges plus
+    one, so adjacent edges are at distance 1; UNREACHABLE across components."""
+    ds = [g.distances_from(u)[v] for u in e1 for v in e2]
+    near = [d for d in ds if d is not UNREACHABLE]
+    return min(near) + 1 if near else UNREACHABLE
+
+
 def _edge_distance_at_least(g: Graph, e1, e2, floor: int) -> bool:
-    d = g.edge_distance(e1, e2)
+    d = edge_distance(g, e1, e2)
     return d is UNREACHABLE or d >= floor
 
 

@@ -139,6 +139,17 @@ def test_automorphism_generators_reuse_the_certificate_search(monkeypatch):
     assert automorphism_generators(asymmetric) == []
 
 
+def test_the_graphs_on_zero_and_one_vertex():
+    """The general search labels both, with no automorphism, whether the
+    certificate or the automorphisms are asked for first."""
+    for n, cert in ((0, "?"), (1, "@")):
+        g = Graph.from_edges(n, [])
+        assert (certificate(g), automorphism_generators(g)) == (cert, [])
+        g = Graph.from_edges(n, [])
+        assert (automorphism_generators(g), certificate(g)) == ([], cert)
+        assert canonical_form(g) == g
+
+
 def test_highly_symmetric_graphs_complete_quickly():
     tc2 = disjoint_union(tutte_coxeter(), tutte_coxeter())
     graphs = [

@@ -299,9 +299,25 @@ def test_far_rows_agree_with_edge_distance():
                 for j, e2 in enumerate(edges):
                     if i == j:
                         continue
-                    d = g.edge_distance(e1, e2)
+                    d = scan_oracle.edge_distance(g, e1, e2)
                     far = d is UNREACHABLE or d >= floor
                     assert (row(i) >> j & 1) == far, (graph6.encode(g), floor, e1, e2)
+
+
+def test_far_rows_on_hand_values():
+    """Edge distances 1, 2 and 4 on the 8-cycle are far exactly up to their
+    floor, either way round; edges in different components are always far."""
+
+    def far(g, floor, e1, e2):
+        edges = g.edges()
+        return constructions._far_rows(g, floor)(edges.index(e1)) >> edges.index(e2) & 1
+
+    c = cycle_graph(8)
+    for e2, d in (((1, 2), 1), ((2, 3), 2), ((4, 5), 4)):
+        for floor in range(d + 2):
+            assert far(c, floor, (0, 1), e2) == far(c, floor, e2, (0, 1)) == (floor <= d)
+    two = disjoint_union(cycle_graph(3), cycle_graph(3))
+    assert all(far(two, floor, (0, 1), (3, 4)) for floor in range(10))
 
 
 def test_moore_tree_layers_sizes():
@@ -425,7 +441,7 @@ def test_double_matching_matches_the_full_distance_oracle():
         assert found == scan_oracle.find_double_matching(h, leaves, gg, want)
         assert got.remaining == want.remaining
         cases += 1
-        apart += any(h.distance(leaves[0], b) is UNREACHABLE for b in leaves)
+        apart += any(h.distances_from(leaves[0])[b] is UNREACHABLE for b in leaves)
     assert cases > 300 and apart > 0
 
 

@@ -45,6 +45,10 @@ def test_circulant_rejects_bad_sets():
         circulant(CirculantSpec(6, (1, 2)))  # not inverse-closed
     with pytest.raises(InvalidConnectingSet):
         circulant(CirculantSpec(6, (2, 4)))  # generates only the evens
+    # a field that is not an int is refused before the builder reads it
+    for n, S in ((10, (1.0, 9.0)), (10.0, (1, 9)), (True, (1,)), (10, ("1", "9"))):
+        with pytest.raises(InvalidConnectingSet, match="integers"):
+            CirculantSpec(n, S)
 
 
 def test_circulant44_girth_four_band():
@@ -81,6 +85,9 @@ def test_gdgp_invariants_rejected():
         gdgp(GdgpSpec(2, 18, (5, 13)))  # 5 + 13 = 18 = 0 mod n
     with pytest.raises(SpecViolation):
         gdgp(GdgpSpec(1, 18, (5,)))  # m below 2
+    for m, n, K in ((2, 18, (5.0, 5)), (2.0, 18, (5, 5)), (2, 18.0, (5, 5)), (2, 18, (True, 5))):
+        with pytest.raises(SpecViolation, match="integers"):
+            GdgpSpec(m, n, K)
 
 
 def test_quartic_parity_graphs_band():

@@ -132,12 +132,11 @@ def test_acyclic_sentinel_refuses_comparison():
 
 def test_distance_and_unreachable():
     g = cycle_graph(6)
-    assert g.distance(0, 3) == 3
-    assert g.distance(0, 0) == 0
+    assert g.distances_from(0) == (0, 1, 2, 3, 2, 1)
     two = disjoint_union(cycle_graph(3), cycle_graph(3))
-    assert two.distance(0, 5) is UNREACHABLE
+    assert two.distances_from(0) == (0, 1, 1) + (UNREACHABLE,) * 3
     with pytest.raises(IndexOutOfRange):
-        g.distance(0, 6)
+        g.distances_from(6)
 
 
 def test_connectivity():
@@ -145,31 +144,6 @@ def test_connectivity():
     assert not disjoint_union(cycle_graph(3), cycle_graph(3)).is_connected()
     with pytest.raises(ZeroOrder):
         Graph.from_edges(0, []).is_connected()
-
-
-def test_edge_distance():
-    c = cycle_graph(8)
-    assert c.edge_distance((0, 1), (1, 2)) == 1  # adjacent edges
-    assert c.edge_distance((0, 1), (2, 3)) == 2
-    assert c.edge_distance((0, 1), (4, 5)) == 4
-    assert c.edge_distance((4, 5), (0, 1)) == 4
-    with pytest.raises(SameEdge):
-        c.edge_distance((0, 1), (1, 0))
-    with pytest.raises(NotAnEdge):
-        c.edge_distance((0, 1), (0, 2))
-    two = disjoint_union(cycle_graph(3), cycle_graph(3))
-    assert two.edge_distance((0, 1), (3, 4)) is UNREACHABLE
-
-
-def test_edge_distance_symmetry_random():
-    rng = random.Random(7)
-    for _ in range(50):
-        g = random_graph(8, 0.4, rng)
-        es = g.edges()
-        if len(es) < 2:
-            continue
-        e1, e2 = rng.sample(list(es), 2)
-        assert g.edge_distance(e1, e2) == g.edge_distance(e2, e1)
 
 
 def test_constructor_validation():

@@ -129,6 +129,21 @@ def test_construct_rejects_a_missing_option(name, options, missing):
         construct(name, petersen(), **options)
 
 
+@pytest.mark.parametrize("name, parent, options, wrong", [
+    ("moore_tree_double", tutte_coxeter(), {"radius": True}, "radius"),
+    ("moore_tree_double", tutte_coxeter(), {"radius": 1.0}, "radius"),
+    ("moore_tree_double", tutte_coxeter(), {"root": "0"}, "root"),
+    ("delete_vertices", petersen(), {"vertices": 2.0}, "vertices"),
+    ("delete_vertices", petersen(), {"target_girth": 5.0}, "target_girth"),
+])
+def test_construct_rejects_an_option_that_is_not_an_int(name, parent, options, wrong):
+    """A bool, float or string option is named before any scan: passed on,
+    `radius=True` recorded a recipe replay rejects, and a float raised a
+    bare TypeError."""
+    with pytest.raises(ParameterOutOfRange, match=f"option {wrong} must be an integer"):
+        construct(name, parent, **options)
+
+
 def test_construct_takes_the_operation_defaults():
     """Every option of a unary operation has a default in its grow
     signature, and an option left out of construct takes it."""

@@ -197,6 +197,16 @@ def test_delete_vertices_guards():
         list(iter_delete_vertices(complete_bipartite(2, 3), 1))
 
 
+def test_deletion_searches_name_the_missing_cycle_before_the_degrees():
+    """With no target girth, an acyclic irregular parent is refused for its
+    missing girth, not its degrees."""
+    forest = path_graph(4)
+    for search in (partial(iter_delete_edges_add_vertices, forest, 1, 1),
+                   partial(iter_delete_vertices, forest, 1)):
+        with pytest.raises(ParameterOutOfRange, match="no cycle"):
+            list(search())
+
+
 def test_a_rewiring_may_raise_the_girth():
     """The target girth of a deletion search is not capped at the parent's:
     a splice of girth 4 rewires back to a (3,8)-graph of order 34."""

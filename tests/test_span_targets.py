@@ -16,6 +16,9 @@ RETIRED = {
     ("graph", "add_edges"), ("graph", "remove_edges"), ("graph", "add_vertices"),
     ("constructions", "moore_double_matching"),
 }
+# Graph methods retired on purpose: distances_from answers every distance
+# question, and the edge-distance rule lives on in tests/scan_oracle.py.
+RETIRED_METHODS = {("graph", "Graph", "distance"), ("graph", "Graph", "edge_distance")}
 
 
 def _table(name: str) -> tuple:
@@ -38,4 +41,5 @@ def test_traced_functions_exist():
 def test_traced_methods_exist():
     for _, mod, cls, attr in _table("METHODS"):
         owner = getattr(importlib.import_module(f"cagekit.{mod}"), cls)
-        assert attr in vars(owner), f"cagekit.{mod}.{cls}.{attr}"
+        present = attr in vars(owner)
+        assert present != ((mod, cls, attr) in RETIRED_METHODS), f"cagekit.{mod}.{cls}.{attr}"
