@@ -24,8 +24,11 @@ def moore_bound(k: int, g: int) -> int:
 
 
 def sauer_bound(k: int, g: int) -> int:
-    """Order above which a (k,g)-graph is guaranteed to exist."""
+    """Order above which a (k,g)-graph is guaranteed to exist, for k >= 3 (for
+    k = 2 the formula gives 2 or 4, below the Moore bound g)."""
     _check_kg(k, g)
+    if k < 3:
+        raise ParameterOutOfRange(f"Sauer's bound needs degree >= 3, got {k}")
     if g % 2:
         return 2 * (k - 1) ** (g - 2)
     return 4 * (k - 1) ** (g - 3)

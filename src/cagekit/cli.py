@@ -9,7 +9,6 @@ from . import graph6
 from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_excess
 from .canon import certificate
 from .constructions import AMALGAMATE_MODES
-from .enumeration import EnumSpec, enumerate_regular
 from .errors import CagekitError, NotAnEdge, ParameterOutOfRange
 from .graph import ACYCLIC, Graph, check_kg
 from .limits import DEFAULT_BUDGET, Budget
@@ -124,6 +123,8 @@ def _generate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import EnumSpec, enumerate_regular  # only this command loads the oracle
+
     spec = EnumSpec(args.k, args.n, args.min_girth, args.cap)
     found = enumerate_regular(spec)
     for g in found:
@@ -154,9 +155,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    moore = moore_bound(args.k, args.g)
+    moore, sauer = moore_bound(args.k, args.g), sauer_bound(args.k, args.g)
     print(f"Moore={moore}")
-    print(f"Sauer={sauer_bound(args.k, args.g)}")
+    print(f"Sauer={sauer}")
     parity = "even orders only" if args.k % 2 else "all integer orders"
     print(f"parity={parity}")
     horizon = args.horizon if args.horizon is not None else moore + 30

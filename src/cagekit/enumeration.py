@@ -2,11 +2,9 @@
 floor, used as the ground-truth oracle for spectrum holes."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canon import certificate
 from .errors import CapExceeded, ParameterOutOfRange
-from .graph import Graph
+from .graph import Graph, Record
 from .limits import DEFAULT_BUDGET, Budget
 
 _ORDER_CAPS = {2: 16, 3: 16, 4: 11}
@@ -17,12 +15,11 @@ def order_cap(k: int) -> int:
     return _ORDER_CAPS.get(k, _FALLBACK_CAP)
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    k: int
-    n: int
-    min_girth: int = 3
-    cap: int = DEFAULT_BUDGET
+class EnumSpec(Record):
+    __slots__ = ("k", "n", "min_girth", "cap")
+
+    def __init__(self, k: int, n: int, min_girth: int = 3, cap: int = DEFAULT_BUDGET):
+        self._set(k, n, min_girth, cap)
 
 
 def enumerate_regular(spec: EnumSpec) -> list[Graph]:

@@ -2,42 +2,35 @@
 and group divisible generalized Petersen graphs."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     InvalidConnectingSet,
     OddOrder,
     OrderTooSmall,
     SpecViolation,
 )
-from .graph import Graph
+from .graph import Graph, Record
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
-    n: int
-    S: tuple[int, ...]
+class CirculantSpec(Record):
+    __slots__ = ("n", "S")
 
-    def __post_init__(self):
-        S = tuple(self.S)
-        if not all(type(x) is int for x in (self.n, *S)):
+    def __init__(self, n: int, S: tuple[int, ...]):
+        S = tuple(S)
+        if not all(type(x) is int for x in (n, *S)):
             raise InvalidConnectingSet("order and connecting set must be integers")
-        if self.n < 1:
+        if n < 1:
             raise InvalidConnectingSet("order must be positive")
-        object.__setattr__(self, "S", tuple(sorted(s % self.n for s in S)))
+        self._set(n, tuple(sorted(s % n for s in S)))
 
 
-@dataclass(frozen=True)
-class GdgpSpec:
-    m: int
-    n: int
-    K: tuple[int, ...]
+class GdgpSpec(Record):
+    __slots__ = ("m", "n", "K")
 
-    def __post_init__(self):
-        K = tuple(self.K)
-        if not all(type(x) is int for x in (self.m, self.n, *K)):
+    def __init__(self, m: int, n: int, K: tuple[int, ...]):
+        K = tuple(K)
+        if not all(type(x) is int for x in (m, n, *K)):
             raise SpecViolation("block count, half-order and chord offsets must be integers")
-        object.__setattr__(self, "K", K)
+        self._set(m, n, K)
 
 
 def circulant(spec: CirculantSpec) -> Graph:

@@ -1,4 +1,4 @@
-"""Immutable simple graphs plus the distance/girth primitives everything else builds on."""
+"""Immutable simple graphs, their distance/girth primitives, and `Record`, the records' base."""
 from __future__ import annotations
 
 from typing import Iterable, Sequence
@@ -16,6 +16,39 @@ class _Sentinel:
 
     def __repr__(self) -> str:
         return self._name
+
+
+class Record:
+    """Immutable value record: a subclass lists its fields in `__slots__`, in
+    the order its `__init__` takes them, and sets them through `_set`. Equal
+    by type and fields; pickle and copy rebuild through `__init__`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 #: girth() result for forests.

@@ -4,7 +4,6 @@ from __future__ import annotations
 import inspect
 import json
 import os
-from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from . import families
@@ -26,7 +25,7 @@ from .constructions import (
     iter_subdivide_two,
 )
 from .errors import MalformedInput, ParameterOutOfRange, ReplayMismatch, UnknownOperation
-from .graph import Graph, edit
+from .graph import Graph, Record, edit
 from .limits import Budget
 from .rewire import (
     apply_delete_vertices,
@@ -36,12 +35,11 @@ from .rewire import (
 )
 
 
-@dataclass(frozen=True)
-class Recipe:
-    operation: str
-    parents: tuple[str, ...]
-    params: dict
-    output_cert: str
+class Recipe(Record):
+    __slots__ = ("operation", "parents", "params", "output_cert")
+
+    def __init__(self, operation: str, parents: tuple[str, ...], params: dict, output_cert: str):
+        self._set(operation, parents, params, output_cert)
 
     def to_line(self) -> str:
         blob = json.dumps(self.params, sort_keys=True, separators=(",", ":"))
@@ -67,8 +65,7 @@ class Recipe:
 ANY_DEGREE = range(2**31)
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(Record):
     """One construction, as the engine grows with it, the CLI runs it and a
     recipe replays it.
 
@@ -90,12 +87,13 @@ class Operation:
     patched or traced names take effect.
     """
 
-    name: str
-    arity: int
-    apply: Callable[[Sequence[Graph], dict], Graph]
-    grow: Callable[..., Iterator[Emitted]] | None = None
-    steps: Callable[[int, int, int], Iterable[tuple]] = lambda n, k, g: ()
-    degrees: Container[int] = ()
+    __slots__ = ("name", "arity", "apply", "grow", "steps", "degrees")
+
+    def __init__(self, name: str, arity: int, apply: Callable[[Sequence[Graph], dict], Graph],
+                 grow: Callable[..., Iterator[Emitted]] | None = None,
+                 steps: Callable[[int, int, int], Iterable[tuple]] = lambda n, k, g: (),
+                 degrees: Container[int] = ()):
+        self._set(name, arity, apply, grow, steps, degrees)
 
     @property
     def options(self) -> dict[str, inspect.Parameter]:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -19,7 +18,7 @@ from .errors import (
     SpecViolation,
     UnknownOperation,
 )
-from .graph import Graph, check_kg
+from .graph import Graph, Record, check_kg
 from .limits import DEFAULT_BUDGET, Budget
 from .recipes import OPERATIONS, Operation, Recipe, replay
 
@@ -37,34 +36,35 @@ class OrderState(Enum):
 DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
 
 
-@dataclass(frozen=True)
-class OrderStatus:
-    n: int
-    state: OrderState
-    witness: Recipe | None = None
-    citation: str | None = None
+class OrderStatus(Record):
+    __slots__ = ("n", "state", "witness", "citation")
+
+    def __init__(self, n: int, state: OrderState, witness: Recipe | None = None,
+                 citation: str | None = None):
+        self._set(n, state, witness, citation)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    constructions: tuple[str, ...] = DEFAULT_CONSTRUCTIONS
-    budget: int = DEFAULT_BUDGET
-    rng_seed: int | None = None
+class SearchConfig(Record):
+    __slots__ = ("constructions", "budget", "rng_seed")
 
-    def __post_init__(self):
-        unknown = [name for name in self.constructions if name not in DEFAULT_CONSTRUCTIONS]
+    def __init__(self, constructions: Iterable[str] = DEFAULT_CONSTRUCTIONS,
+                 budget: int = DEFAULT_BUDGET, rng_seed: int | None = None):
+        if isinstance(constructions, str):
+            raise MalformedInput(f"constructions must be a list of names, not {constructions!r}")
+        constructions = tuple(constructions)
+        unknown = [name for name in constructions if name not in DEFAULT_CONSTRUCTIONS]
         if unknown:
             raise UnknownOperation(f"unknown construction(s): {', '.join(map(repr, unknown))}")
+        self._set(constructions, budget, rng_seed)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    k: int
-    g: int
-    horizon: int
-    statuses: tuple[OrderStatus, ...]
-    provenance: tuple[Recipe, ...] = ()
-    truncated: bool = False  # the budget stopped the run
+class SpectrumReport(Record):
+    __slots__ = ("k", "g", "horizon", "statuses", "provenance", "truncated")
+
+    def __init__(self, k: int, g: int, horizon: int, statuses: tuple[OrderStatus, ...],
+                 provenance: tuple[Recipe, ...] = (),
+                 truncated: bool = False):  # the budget stopped the run
+        self._set(k, g, horizon, statuses, provenance, truncated)
 
     @property
     def n_kg(self) -> int | None:

@@ -37,6 +37,13 @@ def test_sauer_bound_values():
     assert sauer_bound(5, 5) == 128
 
 
+@pytest.mark.parametrize("g", [3, 4, 5, 6, 9])
+def test_sauer_bound_needs_degree_three(g):
+    assert moore_bound(2, g) == g
+    with pytest.raises(ParameterOutOfRange, match="degree >= 3"):
+        sauer_bound(2, g)
+
+
 def test_moore_tree_size():
     assert moore_tree_size(3, 0) == 1
     assert moore_tree_size(3, 1) == 4

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 
 import pytest
@@ -146,7 +145,8 @@ def test_construct_amalgamate_builds_through_the_table(tmp_path, monkeypatch):
         modes.append(params["mode"])
         return op.apply(parents, params)
 
-    monkeypatch.setitem(recipes.OPERATIONS, "amalgamate", dataclasses.replace(op, apply=apply))
+    patched = recipes.Operation(op.name, op.arity, apply, op.grow, op.steps, op.degrees)
+    monkeypatch.setitem(recipes.OPERATIONS, "amalgamate", patched)
     src = write_g6(tmp_path / "in.g6", [petersen(), heawood()])
     out = str(tmp_path / "out.g6")
     assert main(["construct", "amalgamate", "--in", src, "--out", out, "--mode", "parallel"]) == 0
@@ -294,6 +294,14 @@ def test_bounds_output(capsys):
     out = capsys.readouterr().out
     assert "Moore=30" in out
     assert "32" in out.splitlines()[-1]
+
+
+def test_bounds_rejects_degree_two(capsys):
+    # Sauer's formula gives 2 or 4 for k = 2, below the Moore bound g
+    assert main(["bounds", "--k", "2", "--g", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ParameterOutOfRange" in captured.err and "degree >= 3" in captured.err
 
 
 def test_spectrum_subcommand(tmp_path, capsys):

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import ast
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -92,3 +95,35 @@ def test_sources_parse_as_python_3_10(folder):
     for name in names:
         with open(os.path.join(folder, name), encoding="utf-8") as fh:
             ast.parse(fh.read(), filename=name, feature_version=(3, 10))
+
+
+FRESH_IMPORT = textwrap.dedent("""
+    import sys
+    import cagekit.cli
+    for name in [m for m in sys.modules if m == "cagekit" or m.startswith("cagekit.")]:
+        del sys.modules[name]
+    compiled = []
+    sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
+    import cagekit.cli
+    print(cagekit.cli.__file__)
+    print("cagekit.enumeration" in sys.modules)
+    print(*compiled, sep="\\n")
+""")
+
+
+def test_fresh_import_compiles_only_package_files(tmp_path):
+    """A fresh `import cagekit.cli` generates no code (no dataclass methods,
+    no exec'd templates) and leaves the enumeration oracle unloaded. A
+    bytecode cache prefix of an empty folder, written to by nobody, makes
+    every module compile from source whatever .pyc files exist."""
+    src = os.path.abspath(os.path.join(SRC, os.pardir))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    package = os.path.join(src, "cagekit") + os.sep
+    assert out[0].startswith(package)
+    assert out[1] == "False"
+    compiled = out[2:]
+    assert os.path.join(package, "cli.py") in compiled
+    assert [f for f in compiled if not f.startswith(package)] == []

@@ -1,7 +1,6 @@
 """Spectrum engine: order classification, closure, witnesses, determinism."""
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 
@@ -267,6 +266,16 @@ def test_unknown_construction_rejected():
         SearchConfig(constructions=("subdivide_two", "", "x"))
 
 
+def test_construction_names_are_a_sequence_not_a_string():
+    # a bare string is one name list, never iterated letter by letter
+    with pytest.raises(CagekitError, match="'amalgamate'") as err:
+        SearchConfig(constructions="amalgamate")
+    assert not isinstance(err.value, UnknownOperation)
+    as_list = SearchConfig(constructions=["subdivide_two", "amalgamate"])
+    assert as_list.constructions == ("subdivide_two", "amalgamate")
+    assert as_list == SearchConfig(constructions=("subdivide_two", "amalgamate"))
+
+
 def test_engine_certifies_only_kg_graphs(monkeypatch):
     seen = []
 
@@ -339,7 +348,8 @@ def _grow_subdivide_two_with(monkeypatch, alter):
         for params, out in op.grow(parents, budget, **options):
             yield alter(parents[0], params), out
 
-    monkeypatch.setitem(recipes.OPERATIONS, "subdivide_two", dataclasses.replace(op, grow=grow))
+    patched = recipes.Operation(op.name, op.arity, op.apply, grow, op.steps, op.degrees)
+    monkeypatch.setitem(recipes.OPERATIONS, "subdivide_two", patched)
 
 
 def _run_subdivide_two_to_twelve():
