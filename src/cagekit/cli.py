@@ -67,7 +67,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    for g in graph6.iter_file(args.file):
+    for _, g in graph6.iter_lines(args.file):
         degrees = g.degree_sequence()
         profile = (
             "none" if not degrees

@@ -7,7 +7,6 @@ from typing import Callable, Iterator
 
 from .errors import (
     DegreeMismatch,
-    IndexOutOfRange,
     NoCompletion,
     NoPerfectMatching,
     NotCubic,
@@ -21,6 +20,7 @@ from .errors import (
 from .graph import (
     ACYCLIC,
     Graph,
+    _check_vertex,
     bfs_distances,
     bipartition,
     disjoint_union,
@@ -38,9 +38,8 @@ Emitted = tuple[Params, Graph]
 
 
 def _required_girth(g: Graph, target_girth: int | None) -> int:
+    # every caller requires a 3- or 4-regular input, which has a cycle
     gg = g.girth()
-    if gg is ACYCLIC:
-        raise ParameterOutOfRange("input graph has no cycle")
     if target_girth is None:
         return gg
     if target_girth < 3 or target_girth > gg:
@@ -199,8 +198,7 @@ def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:
     layer i-1 sends at most k(k-1)^(i-1) edges down, and each vertex of a
     full layer i has exactly one parent.
     """
-    if not 0 <= root < g.order:
-        raise IndexOutOfRange(f"root {root} outside 0..{g.order - 1}")
+    _check_vertex(root, g.order)
     k = g.regularity()
     if k is None:
         raise DegreeMismatch("Moore tree layers need a regular graph")
@@ -329,7 +327,8 @@ def iter_moore_double(
             continue
         yielded = True
         yield {"r": r, "root": v, "matching": found[0]}, found[1]
-    if failure is not None and not yielded:
+    # a graph with a girth has a root, and each root yields or sets failure
+    if not yielded:
         raise failure
 
 

@@ -172,18 +172,9 @@ class Graph:
         _check_vertex(v, self.order)
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        _check_vertex(v, self.order)
-        return len(self._adj[v])
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The (u, v) pairs with u < v, in lexicographic order (rows are sorted)."""
         return tuple([(u, v) for u, row in enumerate(self._adj) for v in row if u < v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        _check_vertex(u, self.order)
-        _check_vertex(v, self.order)
-        return v in self._adj[u]
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, self._adj)))

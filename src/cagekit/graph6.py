@@ -124,14 +124,8 @@ def iter_lines(path: str | os.PathLike) -> Iterator[tuple[int, Graph]]:
                 yield lineno, g
 
 
-def iter_file(path: str | os.PathLike) -> Iterator[Graph]:
-    """Stream graphs from a file, one per line; blank lines are skipped."""
-    for _, g in iter_lines(path):
-        yield g
-
-
 def read_file(path: str | os.PathLike) -> list[Graph]:
-    return list(iter_file(path))
+    return [g for _, g in iter_lines(path)]
 
 
 def write_file(path: str | os.PathLike, graphs: Iterable[Graph]) -> int:

@@ -52,9 +52,15 @@ class SearchConfig(Record):
         if isinstance(constructions, str):
             raise MalformedInput(f"constructions must be a list of names, not {constructions!r}")
         constructions = tuple(constructions)
-        unknown = [name for name in constructions if name not in DEFAULT_CONSTRUCTIONS]
+        unknown = [name for name in constructions if name not in OPERATIONS]
         if unknown:
             raise UnknownOperation(f"unknown construction(s): {', '.join(map(repr, unknown))}")
+        unused = [name for name in constructions if name not in DEFAULT_CONSTRUCTIONS]
+        if unused:
+            raise UnknownOperation(
+                f"not spectrum construction(s): {', '.join(map(repr, unused))}; "
+                f"the spectrum runs {', '.join(DEFAULT_CONSTRUCTIONS)}"
+            )
         self._set(constructions, budget, rng_seed)
 
 

@@ -79,6 +79,12 @@ def test_girth_lines(tmp_path, capsys):
     assert lines[1] == "order=24 degrees=3 girth=7"
 
 
+def test_girth_line_of_an_irregular_graph(tmp_path, capsys):
+    path = write_g6(tmp_path / "in.g6", [complete_bipartite(2, 3)])
+    assert main(["girth", path]) == 0
+    assert capsys.readouterr().out == "order=5 degrees=2..3 girth=4\n"
+
+
 def test_construct_writes_graphs_and_recipes(tmp_path, capsys):
     src = write_g6(tmp_path / "in.g6", [petersen()])
     out = str(tmp_path / "out.g6")
@@ -331,6 +337,18 @@ def test_spectrum_rejects_an_empty_construction_name(tmp_path, capsys, names):
     assert main(["spectrum", "--k", "3", "--g", "5", "--horizon", "12",
                  "--seeds", str(tmp_path / "seeds"), "--constructions", names]) == 1
     assert "unknown construction(s): ''" in capsys.readouterr().err
+
+
+def test_spectrum_names_a_table_operation_it_does_not_run(tmp_path, capsys):
+    seeds = tmp_path / "seeds" / "k3g5"
+    seeds.mkdir(parents=True)
+    write_g6(seeds / "cage.g6", [petersen()])
+    assert main(["spectrum", "--k", "3", "--g", "5", "--horizon", "12",
+                 "--seeds", str(tmp_path / "seeds"), "--constructions", "remove_biggs_tree"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnknownOperation: not spectrum construction(s): "
+                          "'remove_biggs_tree'; the spectrum runs amalgamate, subdivide_two, ")
+    assert "unknown" not in err
 
 
 def test_spectrum_with_citations(tmp_path):

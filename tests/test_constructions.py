@@ -23,11 +23,14 @@ from cagekit.enumeration import EnumSpec, enumerate_regular
 from cagekit.errors import (
     BudgetExhausted,
     DegreeMismatch,
+    IndexOutOfRange,
+    NoCompletion,
     NoPerfectMatching,
     NotAnEdge,
     NotCubic,
     NotTetravalent,
     OddOrder,
+    OrderTooLarge,
     ParameterOutOfRange,
     RadiusTooLarge,
     TreeNotInduced,
@@ -157,7 +160,7 @@ def _small_regular(k: int) -> list[Graph]:
     of order 5 to 9 (k = 4), as `enumerate_regular` lists them. They are read
     from a file because enumerating cubic order 12 takes about 10 s on a
     2-core VM."""
-    return [g for g in graph6.iter_file(_SMALL_REGULAR) if g.regularity() == k]
+    return [g for g in graph6.read_file(_SMALL_REGULAR) if g.regularity() == k]
 
 
 def _named_cubic() -> list[Graph]:
@@ -328,6 +331,14 @@ def test_moore_tree_layers_sizes():
         moore_tree_layers(complete_bipartite(3, 3), 0, 2)
 
 
+@pytest.mark.parametrize("root", [1.0, True, -1, 10])
+def test_moore_root_is_checked_as_a_vertex(root):
+    with pytest.raises(IndexOutOfRange, match=rf"^vertex {root} not in 0\.\.9$"):
+        moore_tree_layers(petersen(), root, 1)
+    with pytest.raises(IndexOutOfRange):
+        next(iter_moore_double(petersen(), 1, root=root))
+
+
 def _moore_layer_inputs():
     graphs = _small_regular(3) + _small_regular(4)
     return graphs + [petersen(), heawood(), mcgee(), tutte_coxeter()]
@@ -404,6 +415,13 @@ def test_moore_double_rejects_its_input_at_the_first_next(g, r, error):
         next(grown)
 
 
+def test_moore_double_of_a_short_cycle_finds_no_bijection():
+    # C8 less a radius-2 ball is a 3-vertex path; joining two copies at
+    # its ends closes a 6-cycle, below the girth 8, whichever way round
+    with pytest.raises(NoCompletion, match=r"^no leaf bijection keeps girth 8 \(root 7, radius 2\)$"):
+        next(iter_moore_double(cycle_graph(8), 2))
+
+
 def test_moore_tree_double_heawood():
     [(_, h)] = construct("moore_tree_double", heawood(), radius=1, root=0)
     assert_regular(h, 3, 20, 6)
@@ -474,6 +492,16 @@ def test_perfect_matching_rejects():
         find_perfect_matching(cycle_graph(5))
     with pytest.raises(NoPerfectMatching):
         find_perfect_matching(disjoint_union(complete_graph(3), complete_graph(3)))
+    # K_{1,3} with its centre on the smaller side, then on the larger
+    with pytest.raises(NoPerfectMatching, match="does not cover every vertex"):
+        find_perfect_matching(complete_bipartite(1, 3))
+    with pytest.raises(NoPerfectMatching, match="no matching saturates vertex 1"):
+        find_perfect_matching(Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)]))
+    seven = petersen()
+    for _ in range(6):
+        seven = disjoint_union(seven, petersen())
+    with pytest.raises(OrderTooLarge, match="capped at order 64"):
+        find_perfect_matching(seven)
 
 
 def test_matching_is_spanning_and_disjoint():

@@ -60,12 +60,12 @@ from conftest import SEED34
 def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
     """All valid completion sets by raw subset search (girth(h) must already
     clear the target, so the whole-graph girth check is equivalent)."""
-    need = sum(k - h.degree(v) for v in range(h.order))
+    need = sum(k - len(h.neighbors(v)) for v in range(h.order))
     assert need % 2 == 0
     candidates = [
         (u, v)
         for u, v in combinations(range(h.order), 2)
-        if not h.has_edge(u, v) and h.degree(u) < k and h.degree(v) < k
+        if v not in h.neighbors(u) and len(h.neighbors(u)) < k and len(h.neighbors(v)) < k
     ]
     out = set()
     for combo in combinations(candidates, need // 2):
@@ -79,7 +79,7 @@ def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
 
 
 def _degrees_fit(h: Graph, k: int, combo) -> bool:
-    deg = [h.degree(v) for v in range(h.order)]
+    deg = [len(h.neighbors(v)) for v in range(h.order)]
     for u, v in combo:
         deg[u] += 1
         deg[v] += 1
@@ -277,7 +277,7 @@ def test_induced_trees_match_brute_force():
 
 
 def _induced_edges(g: Graph, subset) -> int:
-    return sum(1 for u, v in combinations(subset, 2) if g.has_edge(u, v))
+    return sum(1 for u, v in combinations(subset, 2) if v in g.neighbors(u))
 
 
 def _induced_connected(g: Graph, subset) -> bool:

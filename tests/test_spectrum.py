@@ -149,6 +149,12 @@ def test_empty_seed_list_resolves_nothing():
     assert report.n_kg is None
 
 
+def test_no_order_below_the_moore_bound_is_realized():
+    report = spectrum_search(3, 5, [], 9)
+    assert {s.state for s in report.statuses} == {OrderState.EXCLUDED_BELOW_MOORE}
+    assert (report.n_kg, report.N_candidate) == (None, None)
+
+
 def test_horizon_too_small():
     with pytest.raises(HorizonTooSmall):
         spectrum_search(3, 5, [petersen()], 9)
@@ -264,6 +270,18 @@ def test_unknown_construction_rejected():
     # each unknown name is shown quoted, so an empty one is visible
     with pytest.raises(UnknownOperation, match=r"^unknown construction\(s\): '', 'x'$"):
         SearchConfig(constructions=("subdivide_two", "", "x"))
+
+
+@pytest.mark.parametrize("name", ["remove_biggs_tree", "remove_perfect_matching", "gdgp"])
+def test_table_operation_outside_the_spectrum_is_named_as_such(name):
+    # the operation table holds these, so they are not unknown
+    runs = ", ".join(spectrum.DEFAULT_CONSTRUCTIONS)
+    want = f"^not spectrum construction\\(s\\): '{name}'; the spectrum runs {runs}$"
+    with pytest.raises(UnknownOperation, match=want):
+        SearchConfig(constructions=("subdivide_two", name))
+    # a name outside the table is still reported as unknown first
+    with pytest.raises(UnknownOperation, match=r"^unknown construction\(s\): 'x'$"):
+        SearchConfig(constructions=(name, "x"))
 
 
 def test_construction_names_are_a_sequence_not_a_string():
