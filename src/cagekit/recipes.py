@@ -1,7 +1,6 @@
 """Construction provenance records, the operation table, and replay."""
 from __future__ import annotations
 
-import inspect
 import json
 import os
 from typing import Callable, Container, Iterable, Iterator, Sequence
@@ -72,11 +71,11 @@ class Operation(Record):
     - `apply(parents, params)` replays a recipe; it reads params through
       the typed readers of `_Params` and builds by the rule of the module
       that grows the operation, so replay rebuilds what grow emits.
-    - `grow(parents, budget, **options)` yields (params, graph), as `apply`
-      takes the parents: `()`, `(g,)` or `(g1, g2)`. Its keywords after the
-      budget are its `options`, which `construct` accepts and the CLI fills
-      from flags, taking a unary operation's own default for one not given;
-      a `target_girth` defaults to the parent's girth.
+    - `grow(parents, budget, *, ...)` yields (params, graph), as `apply`
+      takes the parents: `()`, `(g,)` or `(g1, g2)`. Its keyword-only
+      defaults are its `options`, which `construct` accepts and the CLI
+      fills from flags, taking a unary operation's own default for one not
+      given; a `target_girth` defaults to the parent's girth.
     - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
       order n, each a (parent order, grow keywords). The engine grows from
       each (k,g)-graph it stores of that order, or from no parent when the
@@ -96,10 +95,9 @@ class Operation(Record):
         self._set(name, arity, apply, grow, steps, degrees)
 
     @property
-    def options(self) -> dict[str, inspect.Parameter]:
-        """The grow keywords after (parents, budget), by name."""
-        params = inspect.signature(self.grow).parameters if self.grow else {}
-        return dict(list(params.items())[2:])
+    def options(self) -> dict[str, int | None]:
+        """The grow's keyword-only defaults by name; a generator's `n` has none."""
+        return dict(getattr(self.grow, "__kwdefaults__", None) or {})
 
 
 def _grow_amalgams(parents, budget):
@@ -134,13 +132,13 @@ def _grow_matching(parents, budget):
     yield {"matching": [list(e) for e in matching]}, edit(parents[0], remove=matching)
 
 
-def _grow_circulant(parents, budget, n):
+def _grow_circulant(parents, budget, *, n):
     g = families.circulant44(n)
     # A circulant's connecting set is the neighbourhood of vertex 0.
     yield {"n": n, "S": list(g.neighbors(0))}, g
 
 
-def _grow_parity(parents, budget, n):
+def _grow_parity(parents, budget, *, n):
     yield {"n": n}, families.quartic_parity_graph(n)
 
 
@@ -162,7 +160,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "subdivide_two", 1,
         lambda ps, p: apply_subdivide_pair(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda ps, budget, target_girth=None: iter_subdivide_two(
+        grow=lambda ps, budget, *, target_girth=None: iter_subdivide_two(
             ps[0], target_girth, budget
         ),
         steps=_adds(2),
@@ -171,7 +169,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "subdivide_three", 1,
         lambda ps, p: apply_subdivide_triple(ps[0], p.edge("e1"), p.edge("e2"), p.edge("e3")),
-        grow=lambda ps, budget, target_girth=None: iter_subdivide_three(
+        grow=lambda ps, budget, *, target_girth=None: iter_subdivide_three(
             ps[0], target_girth, budget
         ),
         steps=_adds(4),
@@ -180,7 +178,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "subdivide_merge", 1,
         lambda ps, p: apply_subdivide_merge(ps[0], p.edge("e1"), p.edge("e2")),
-        grow=lambda ps, budget, target_girth=None: iter_subdivide_merge(
+        grow=lambda ps, budget, *, target_girth=None: iter_subdivide_merge(
             ps[0], target_girth, budget
         ),
         steps=_adds(1),
@@ -199,7 +197,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         lambda ps, p: apply_moore_double(
             ps[0], p.integer("r"), p.integer("root"), p.integers("matching")
         ),
-        grow=lambda ps, budget, radius=1, root=None: iter_moore_double(
+        grow=lambda ps, budget, *, radius=1, root=None: iter_moore_double(
             ps[0], radius, budget, root
         ),
         steps=_moore_steps,
@@ -213,7 +211,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "delete_vertices", 1,
         lambda ps, p: apply_delete_vertices(ps[0], p.integers("removed"), p.edges("edges")),
-        grow=lambda ps, budget, vertices=2, target_girth=None: iter_delete_vertices(
+        grow=lambda ps, budget, *, vertices=2, target_girth=None: iter_delete_vertices(
             ps[0], vertices, target_girth, budget
         ),
         steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
@@ -222,7 +220,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
     Operation(
         "delete_edges_add_vertices", 1,
         _apply_delete_edges_add_vertices,
-        grow=lambda ps, budget, edges=3, vertices=2, target_girth=None: (
+        grow=lambda ps, budget, *, edges=3, vertices=2, target_girth=None: (
             iter_delete_edges_add_vertices(ps[0], edges, vertices, target_girth, budget)
         ),
         steps=lambda n, k, g: [
@@ -289,7 +287,7 @@ def construct(
     wrong = [k for k, v in options.items() if v is not None and not _is_int(v)]
     if wrong:
         raise ParameterOutOfRange(f"{name} option {', '.join(wrong)} must be an integer")
-    missing = [k for k, p in op.options.items() if options.get(k, p) is None is not p.default]
+    missing = [k for k, d in op.options.items() if options.get(k, d) is None is not d]
     if missing:
         raise ParameterOutOfRange(f"{name} needs option {', '.join(missing)}")
     firsts: dict[str, Emitted] = {}

@@ -15,6 +15,7 @@ from .errors import (
     HorizonTooSmall,
     MalformedInput,
     NoCandidate,
+    ParameterOutOfRange,
     SpecViolation,
     UnknownOperation,
 )
@@ -132,6 +133,12 @@ def load_seeds(root: str | os.PathLike, k: int, g: int) -> list[Graph]:
 
 class _Engine:
     def __init__(self, k, g, seeds, horizon, config, citations):
+        for name, value in (("k", k), ("g", g), ("horizon", horizon)):
+            if type(value) is not int:
+                raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+        if k < 3:
+            raise ParameterOutOfRange(f"the spectrum needs degree >= 3, got {k}")
+        moore = moore_bound(k, g)
         self.k = k
         self.g = g
         self.horizon = horizon
@@ -157,7 +164,7 @@ class _Engine:
         if horizon < k + 1:
             raise HorizonTooSmall(f"horizon {horizon} below smallest order {k + 1}")
         for n in range(k + 1, horizon + 1):
-            if n < moore_bound(k, g):
+            if n < moore:
                 self.excluded[n] = OrderState.EXCLUDED_BELOW_MOORE
             elif not parity_admissible(k, n):
                 self.excluded[n] = OrderState.EXCLUDED_PARITY

@@ -310,6 +310,15 @@ def test_bounds_rejects_degree_two(capsys):
     assert "ParameterOutOfRange" in captured.err and "degree >= 3" in captured.err
 
 
+def test_spectrum_rejects_degree_two(tmp_path, capsys):
+    # C5 is the only connected (2,5)-graph; every order past it read Unresolved
+    code = main(["spectrum", "--k", "2", "--g", "5", "--horizon", "12", "--seeds", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParameterOutOfRange") and "degree >= 3" in captured.err
+
+
 def test_spectrum_subcommand(tmp_path, capsys):
     seeds = tmp_path / "seeds" / "k3g5"
     seeds.mkdir(parents=True)

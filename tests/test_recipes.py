@@ -145,11 +145,11 @@ def test_construct_rejects_an_option_that_is_not_an_int(name, parent, options, w
 
 
 def test_construct_takes_the_operation_defaults():
-    """Every option of a unary operation has a default in its grow
-    signature, and an option left out of construct takes it."""
+    """Every keyword-only parameter of a unary grow has a default, so each
+    is an option, and an option left out of construct takes it."""
     for op in OPERATIONS.values():
         if op.arity == 1:
-            assert all(p.default is not p.empty for p in op.options.values()), op.name
+            assert len(op.options) == op.grow.__code__.co_kwonlyargcount, op.name
     for name, parent, options, defaults in [
         ("moore_tree_double", petersen(), {"root": 0}, {"radius": 1}),
         ("delete_vertices", petersen(), {"target_girth": 4}, {"vertices": 2}),
@@ -161,16 +161,20 @@ def test_construct_takes_the_operation_defaults():
 
 
 def test_every_engine_step_binds_to_its_grow_signature():
-    """The keywords `steps` asks for are exactly what `grow` declares after
-    (parent, budget): none unknown, none required left out."""
+    """Every grow takes (parents, budget) positionally and the rest by
+    keyword only, and the keywords `steps` asks for are exactly what it
+    declares: none unknown, none required left out, and a unary one's all
+    options."""
     checked = 0
     for op in OPERATIONS.values():
+        if op.grow is not None:
+            assert op.grow.__code__.co_argcount == 2, op.name
         for k in range(3, 6):
             for g in range(3, 9):
                 for n in range(61):
                     for _, options in op.steps(n, k, g):
                         inspect.signature(op.grow).bind(None, None, **options)
-                        assert set(options) <= set(op.options)
+                        assert op.arity == 0 or set(options) <= set(op.options)
                         checked += 1
     assert checked > 1000
 

@@ -17,6 +17,7 @@ from cagekit.errors import (
     IndexOutOfRange,
     MalformedInput,
     NoCandidate,
+    ParameterOutOfRange,
     SpecViolation,
     UnknownOperation,
 )
@@ -160,6 +161,23 @@ def test_horizon_too_small():
         spectrum_search(3, 5, [petersen()], 9)
     with pytest.raises(HorizonTooSmall, match="smallest order 4"):
         spectrum_search(3, 5, [], 3)
+
+
+@pytest.mark.parametrize("k, g, seeds, horizon, match", [
+    (2, 5, [], 12, "degree >= 3"),
+    (2, 5, [], 2, "degree >= 3"),
+    (3, 2, [], 3, "girth 2 < 3"),
+    (3, 5, [petersen()], 20.0, "horizon must be an integer, got 20.0"),
+    (3, 5, [], True, "horizon must be an integer, got True"),
+    (3.0, 5, [], 20, "k must be an integer"),
+    (3, True, [], 20, "g must be an integer"),
+])
+def test_spectrum_rejects_a_pair_outside_the_domain(k, g, seeds, horizon, match):
+    """The only connected 2-regular graph of girth g is C_g, so k = 2 reported
+    every order past g as Unresolved, and a float horizon raised a bare
+    TypeError from range. Both are named before the horizon is checked."""
+    with pytest.raises(ParameterOutOfRange, match=match):
+        spectrum_search(k, g, seeds, horizon)
 
 
 def test_wrong_citation_detected():
