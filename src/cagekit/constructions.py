@@ -350,23 +350,30 @@ def find_perfect_matching(
 
 
 def _bipartite_matching(g, sides, budget) -> list[tuple[int, int]]:
-    left = sorted(sides[0])
+    adj = g.adjacency
     match: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in g.neighbors(u):
-            if v in seen:
+    for root in sorted(sides[0]):
+        # A depth-first search for an augmenting path, one budget step per
+        # vertex v it reaches, on an explicit stack: a frame is the matched v
+        # it came through, its left vertex and the neighbours not yet tried.
+        seen: set[int] = set()
+        stack = [(None, root, iter(adj[root]))]
+        while stack:
+            _, u, nbrs = stack[-1]
+            v = next((w for w in nbrs if w not in seen), None)
+            if v is None:
+                stack.pop()
                 continue
             seen.add(v)
             budget.spend()
-            if v not in match or augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
-    for u in left:
-        if not augment(u, set()):
-            raise NoPerfectMatching(f"no matching saturates vertex {u}")
+            if v not in match:
+                break
+            stack.append((v, match[v], iter(adj[match[v]])))
+        else:
+            raise NoPerfectMatching(f"no matching saturates vertex {root}")
+        match[v] = u
+        for (_, w, _), (x, _, _) in zip(stack, stack[1:]):
+            match[x] = w
     if 2 * len(match) != g.order:
         raise NoPerfectMatching("matching does not cover every vertex")
     return sorted((u, v) if u < v else (v, u) for v, u in match.items())

@@ -94,11 +94,11 @@ def bfs_distances(
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
-    All derived quantities (girth, certificates, distances) are cached on the
+    Girth, certificate and automorphism generators are cached on the
     instance; methods are pure, so instances are safe to share.
     """
 
-    __slots__ = ("_adj", "_girth", "_cert", "_dist", "_autos")
+    __slots__ = ("_adj", "_girth", "_cert", "_autos")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = [tuple(sorted(nbrs)) for nbrs in adjacency]
@@ -134,7 +134,6 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = adj
         self._girth: int | _Sentinel | None = None
         self._cert: str | None = None
-        self._dist: dict[int, tuple] = {}
         self._autos: list[list[int]] | None = None
 
     # -- construction helpers -------------------------------------------------
@@ -198,18 +197,13 @@ class Graph:
     def distances_from(self, src: int) -> tuple:
         """BFS distances from src; UNREACHABLE where there is no path."""
         _check_vertex(src, self.order)
-        cached = self._dist.get(src)
-        if cached is not None:
-            return cached
         dist = bfs_distances(self._adj, src)
-        out = tuple(dist) if -1 not in dist else tuple(d if d >= 0 else UNREACHABLE for d in dist)
-        self._dist[src] = out
-        return out
+        return tuple(dist) if -1 not in dist else tuple(d if d >= 0 else UNREACHABLE for d in dist)
 
     def is_connected(self) -> bool:
         if self.order == 0:
             raise ZeroOrder("connectivity of the empty graph is undefined")
-        return UNREACHABLE not in self.distances_from(0)
+        return -1 not in bfs_distances(self._adj, 0)
 
     # -- girth ----------------------------------------------------------------
 
@@ -329,8 +323,8 @@ def rows_without_edges(
     """A view of g's rows with the edges `remove` deleted and `new_vertices`
     empty rows appended: the rows `edit` builds on. The two rows of each
     removed edge are new tuples; every other row is g's own."""
-    if new_vertices < 0:
-        raise ParameterOutOfRange(f"cannot add {new_vertices} vertices")
+    if type(new_vertices) is not int or new_vertices < 0:
+        raise ParameterOutOfRange(f"cannot add {new_vertices!r} vertices")
     rows = list(g.adjacency)
     for e in remove:
         u, v = g.as_edge(e)

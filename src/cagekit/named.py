@@ -15,16 +15,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ParameterOutOfRange("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def lcf_graph(n: int, pattern: list[int], repeats: int) -> Graph:
     """Hamiltonian cycle 0..n-1 plus chords i -> i + shift (pattern cycled)."""
     if len(pattern) * repeats != n:
@@ -45,18 +35,6 @@ def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, edges)
-
-
-def kneser_petersen() -> Graph:
-    """Disjointness graph of the 2-subsets of a 5-set (isomorphic to petersen())."""
-    pairs = list(combinations(range(5), 2))
-    idx = {p: i for i, p in enumerate(pairs)}
-    edges = [
-        (idx[p], idx[q])
-        for p, q in combinations(pairs, 2)
-        if not set(p) & set(q)
-    ]
     return Graph.from_edges(10, edges)
 
 

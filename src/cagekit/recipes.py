@@ -260,27 +260,20 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
 
 
 def construct(
-    name: str,
-    parent: Graph,
-    target_girth: int | None = None,
-    budget: Budget | int | None = None,
-    **options,
+    name: str, parent: Graph, *, budget: Budget | int | None = None, **options
 ) -> list[Emitted]:
     """The outputs of one unary operation on parent, one per isomorphism
     class, as (params, graph) in the order the operation grows them.
 
     `options` are the operation's grow keywords (its `options`, such as
     `vertices` for delete_vertices or `radius` and `root` for
-    moore_tree_double); one left out takes its grow default. A
-    `target_girth` other than None is one of them. A keyword the operation
-    does not name, then a value that is neither None nor an int, then None
-    for one whose default is not None, is a `ParameterOutOfRange`.
+    moore_tree_double); one left out takes its grow default. A keyword the
+    operation does not name, then a value that is neither None nor an int,
+    then None for one whose default is not None, is a `ParameterOutOfRange`.
     """
     op = OPERATIONS.get(name)
     if op is None or op.arity != 1 or op.grow is None:
         raise UnknownOperation(f"{name!r} is not a unary operation")
-    if target_girth is not None:
-        options["target_girth"] = target_girth
     unknown = sorted(set(options) - set(op.options))
     if unknown:
         raise ParameterOutOfRange(f"{name} takes no option {', '.join(unknown)}")

@@ -142,9 +142,6 @@ def _one_per_orbit(
     for p in automorphism_generators(g):
         q = action(g, p)
         maps.append((q, [1 << j for j in q].__getitem__))
-    if not maps:  # a trivial group: every orbit is one item
-        yield from items
-        return
     pending: set[int] = set()  # masks of orbit members not met yet
     for item in items:
         key = sum([1 << i for i in item])

@@ -52,6 +52,8 @@ class SearchConfig(Record):
                  budget: int = DEFAULT_BUDGET, rng_seed: int | None = None):
         if isinstance(constructions, str):
             raise MalformedInput(f"constructions must be a list of names, not {constructions!r}")
+        if rng_seed is not None and type(rng_seed) is not int:
+            raise MalformedInput(f"rng_seed must be None or an int, got {rng_seed!r}")
         constructions = tuple(constructions)
         unknown = [name for name in constructions if name not in OPERATIONS]
         if unknown:

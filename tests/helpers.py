@@ -71,6 +71,23 @@ def pack_graph6(n: int, edges) -> str:
     return "".join(chars)
 
 
+def cycle_graph(n: int) -> Graph:
+    assert n >= 3, "a cycle needs at least 3 vertices"
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def kneser_petersen() -> Graph:
+    """Disjointness graph of the 2-subsets of a 5-set (isomorphic to petersen())."""
+    pairs = list(combinations(range(5), 2))
+    idx = {p: i for i, p in enumerate(pairs)}
+    edges = [(idx[p], idx[q]) for p, q in combinations(pairs, 2) if not set(p) & set(q)]
+    return Graph.from_edges(10, edges)
+
+
 def all_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices (2^(n(n-1)/2) of them)."""
     slots = list(combinations(range(n), 2))

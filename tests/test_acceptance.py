@@ -172,7 +172,9 @@ def test_criterion_12_property_suite(
     assert amalgamate(p, p, (0, 1), (0, 1)).order == 20
     [(_, h)] = construct("remove_perfect_matching", complete_bipartite(4, 4))
     assert h.regularity() == 3
-    for _, h in construct("delete_edges_add_vertices", heawood(), 6, edges=3, vertices=2):
+    for _, h in construct(
+        "delete_edges_add_vertices", heawood(), target_girth=6, edges=3, vertices=2
+    ):
         assert h.regularity() == 3 and h.order == 16 and h.girth() >= 6
 
     # graph6 round-trip over a 500-graph corpus

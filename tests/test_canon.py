@@ -25,11 +25,8 @@ from cagekit.recipes import Recipe, replay
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     heawood,
-    kneser_petersen,
     mcgee,
-    path_graph,
     petersen,
     tutte_coxeter,
 )
@@ -38,8 +35,11 @@ from helpers import (
     brute_automorphism_count,
     brute_isomorphic,
     cartesian_product,
+    cycle_graph,
     group_order,
     hypercube,
+    kneser_petersen,
+    path_graph,
     random_graph,
     shuffled,
 )

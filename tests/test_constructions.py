@@ -48,7 +48,6 @@ from cagekit.limits import Budget
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     heawood,
     lcf_graph,
     mcgee,
@@ -59,7 +58,7 @@ from cagekit.recipes import apply_operation, construct
 import canon_oracle
 import scan_oracle
 from conftest import SEED34
-from helpers import random_graph, shuffled
+from helpers import cycle_graph, random_graph, shuffled
 
 
 def assert_regular(g: Graph, k: int, order: int, girth_floor: int) -> None:
@@ -485,6 +484,24 @@ def test_perfect_matching_removal_of_a_non_bipartite_graph(monkeypatch):
     assert searched == [10]
     assert h.order == 10 and h.regularity() == 2
     assert apply_operation("remove_perfect_matching", (petersen(),), params) == h
+
+
+def test_perfect_matching_of_a_large_bipartite_graph():
+    """An augmenting path may be thousands of steps long; the search keeps
+    it on an explicit stack, not the call stack."""
+    rng = random.Random(4000)
+    half = 2000
+    rights: list[list[int]] = []
+    while len(rights) < 3:  # three perfect matchings that share no edge
+        p = list(range(half, 2 * half))
+        rng.shuffle(p)
+        if all(p[i] not in {r[i] for r in rights} for i in range(half)):
+            rights.append(p)
+    g = Graph.from_edges(2 * half, [(i, r[i]) for r in rights for i in range(half)])
+    assert g.regularity() == 3
+    matching = find_perfect_matching(g)
+    assert all(v in g.neighbors(u) for u, v in matching)
+    assert sorted(v for e in matching for v in e) == list(range(2 * half))
 
 
 def test_perfect_matching_rejects():

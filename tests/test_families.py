@@ -21,7 +21,8 @@ from cagekit.families import (
     gdgp,
     quartic_parity_graph,
 )
-from cagekit.named import cycle_graph
+
+from helpers import cycle_graph
 
 GDGP_CATALOG = (
     (GdgpSpec(2, 18, (5, 5)), 36, 8),

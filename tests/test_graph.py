@@ -29,10 +29,8 @@ from cagekit.errors import (
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     heawood,
     mcgee,
-    path_graph,
     petersen,
     tutte_coxeter,
 )
@@ -41,7 +39,15 @@ from cagekit import graph6
 from cagekit.constructions import canonical_double_cover
 
 import read_oracle
-from helpers import all_labeled_graphs, brute_girth, hypercube, random_graph, shuffled
+from helpers import (
+    all_labeled_graphs,
+    brute_girth,
+    cycle_graph,
+    hypercube,
+    path_graph,
+    random_graph,
+    shuffled,
+)
 
 
 def test_girth_matches_brute_force_exhaustively_to_order_5():
@@ -291,6 +297,12 @@ def test_edit_errors():
         edit(c5, remove=[(0, 5)])  # removals are checked against c5
     with pytest.raises(ParameterOutOfRange):
         edit(c5, new_vertices=-1)
+
+
+@pytest.mark.parametrize("count", [1.0, True, "1", None])
+def test_edit_adds_an_int_count_of_vertices(count):
+    with pytest.raises(ParameterOutOfRange, match="cannot add"):
+        edit(cycle_graph(5), new_vertices=count)
 
 
 def test_edit_range_covers_the_new_vertices():

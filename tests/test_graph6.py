@@ -8,10 +8,10 @@ import pytest
 from cagekit import graph6
 from cagekit.errors import MalformedGraph6, OrderTooLarge
 from cagekit.graph import Graph, disjoint_union
-from cagekit.named import complete_graph, cycle_graph, petersen
+from cagekit.named import complete_graph, petersen
 
 import read_oracle
-from helpers import pack_graph6, random_graph
+from helpers import cycle_graph, pack_graph6, random_graph
 
 
 def test_k4_is_a_tilde():

@@ -107,7 +107,12 @@ def test_construct_takes_only_unary_operations(name):
 ])
 def test_construct_rejects_a_target_girth_the_operation_does_not_read(name):
     with pytest.raises(ParameterOutOfRange, match="target_girth"):
-        construct(name, heawood(), 9)
+        construct(name, heawood(), target_girth=9)
+
+
+def test_construct_takes_no_positional_option():
+    with pytest.raises(TypeError):
+        construct("delete_vertices", petersen(), 5, vertices=2)
 
 
 def test_construct_rejects_a_misspelled_option():

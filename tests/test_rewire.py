@@ -36,10 +36,8 @@ from cagekit.limits import Budget
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     heawood,
     mcgee,
-    path_graph,
     petersen,
     tutte_coxeter,
 )
@@ -55,6 +53,7 @@ from cagekit.rewire import (
 )
 from cagekit.recipes import construct
 from conftest import SEED34
+from helpers import cycle_graph, path_graph
 
 
 def brute_completions(h: Graph, k: int, target_girth: int) -> set[frozenset]:
@@ -141,7 +140,7 @@ def test_completions_match_brute_force():
 
 
 def test_delete_edges_heawood_grows_girth_six():
-    outs = construct("delete_edges_add_vertices", heawood(), 6, edges=3, vertices=2)
+    outs = construct("delete_edges_add_vertices", heawood(), target_girth=6, edges=3, vertices=2)
     assert outs
     for _, h in outs:
         assert (h.order, h.regularity()) == (16, 3)
@@ -149,7 +148,7 @@ def test_delete_edges_heawood_grows_girth_six():
 
 
 def test_delete_edges_mcgee_grows_girth_seven():
-    outs = construct("delete_edges_add_vertices", mcgee(), 7, edges=3, vertices=2)
+    outs = construct("delete_edges_add_vertices", mcgee(), target_girth=7, edges=3, vertices=2)
     assert outs
     for _, h in outs:
         assert (h.order, h.regularity()) == (26, 3)
@@ -158,7 +157,9 @@ def test_delete_edges_mcgee_grows_girth_seven():
 
 def test_delete_edges_parity_guard():
     with pytest.raises(DegreeImbalance):
-        construct("delete_edges_add_vertices", complete_graph(4), 3, edges=2, vertices=1)
+        construct(
+            "delete_edges_add_vertices", complete_graph(4), target_girth=3, edges=2, vertices=1
+        )
     with pytest.raises(DegreeMismatch):
         list(iter_delete_edges_add_vertices(complete_bipartite(2, 3), 3, 2))
     with pytest.raises(ParameterOutOfRange):
@@ -166,7 +167,7 @@ def test_delete_edges_parity_guard():
 
 
 def test_delete_vertices_quartic():
-    outs = construct("delete_vertices", circulant44(11), 3, vertices=1)
+    outs = construct("delete_vertices", circulant44(11), target_girth=3, vertices=1)
     assert outs
     for _, h in outs:
         assert (h.order, h.regularity()) == (10, 4)
@@ -177,7 +178,7 @@ def test_delete_vertices_chain_step():
     from cagekit.constructions import canonical_double_cover
 
     g48 = canonical_double_cover(mcgee())
-    outs = construct("delete_vertices", g48, 8, vertices=2)
+    outs = construct("delete_vertices", g48, target_girth=8, vertices=2)
     assert outs
     for _, h in outs:
         assert (h.order, h.regularity()) == (46, 3)
@@ -186,13 +187,14 @@ def test_delete_vertices_chain_step():
 
 def test_delete_vertices_guards():
     with pytest.raises(TooManyVertices):
-        construct("delete_vertices", petersen(), 5, vertices=5)
+        construct("delete_vertices", petersen(), target_girth=5, vertices=5)
     with pytest.raises(TooManyVertices):
-        construct("delete_vertices", petersen(), 5, vertices=0)
+        construct("delete_vertices", petersen(), target_girth=5, vertices=0)
     with pytest.raises(NoCompletion):
-        construct("delete_vertices", heawood(), 6, vertices=1)  # odd surviving order, cubic
+        # odd surviving order, cubic
+        construct("delete_vertices", heawood(), target_girth=6, vertices=1)
     with pytest.raises(ParameterOutOfRange):
-        construct("delete_vertices", petersen(), 2, vertices=2)
+        construct("delete_vertices", petersen(), target_girth=2, vertices=2)
     with pytest.raises(DegreeMismatch):
         list(iter_delete_vertices(complete_bipartite(2, 3), 1))
 

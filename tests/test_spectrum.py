@@ -25,9 +25,7 @@ from cagekit.graph import check_kg
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     heawood,
-    kneser_petersen,
     lcf_graph,
     petersen,
     tutte_coxeter,
@@ -42,6 +40,8 @@ from cagekit.spectrum import (
     render_report,
     spectrum_search,
 )
+
+from helpers import cycle_graph, kneser_petersen
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -302,6 +302,12 @@ def test_table_operation_outside_the_spectrum_is_named_as_such(name):
         SearchConfig(constructions=(name, "x"))
 
 
+@pytest.mark.parametrize("seed", [(1, 2), 1.5, True, "7"])
+def test_rng_seed_is_none_or_an_int(seed):
+    with pytest.raises(MalformedInput, match="rng_seed"):
+        SearchConfig(rng_seed=seed)
+
+
 def test_construction_names_are_a_sequence_not_a_string():
     # a bare string is one name list, never iterated letter by letter
     with pytest.raises(CagekitError, match="'amalgamate'") as err:
@@ -535,9 +541,9 @@ def test_frozen_order_34_seed_rederives():
 
     g = canonical_double_cover(mcgee())
     while g.order > 38:
-        g = construct("delete_vertices", g, 8, vertices=2)[0][1]
+        g = construct("delete_vertices", g, target_girth=8, vertices=2)[0][1]
         assert check_kg(g, 3, 8) is None
-    g = construct("delete_vertices", g, 8, vertices=4)[0][1]
+    g = construct("delete_vertices", g, target_girth=8, vertices=4)[0][1]
     frozen = graph6.read_file(SEED34)
     assert len(frozen) == 1
     assert check_kg(frozen[0], 3, 8) is None
