@@ -260,15 +260,10 @@ def _canonical_perm(g: Graph) -> list[int]:
     return best[2]
 
 
-def canonical_form(g: Graph) -> Graph:
-    """Isomorphic copy with canonical vertex labels."""
-    return relabeled(g, _canonical_perm(g))
-
-
 def certificate(g: Graph) -> str:
-    """graph6 line of the canonical form; equal iff isomorphic."""
+    """graph6 line of g under its canonical labelling; equal iff isomorphic."""
     if g._cert is None:
-        g._cert = graph6.encode(canonical_form(g))
+        g._cert = graph6.encode(relabeled(g, _canonical_perm(g)))
     return g._cert
 
 

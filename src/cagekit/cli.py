@@ -123,10 +123,9 @@ def _generate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .enumeration import EnumSpec, enumerate_regular  # only this command loads the oracle
+    from .enumeration import enumerate_regular  # only this command loads the oracle
 
-    spec = EnumSpec(args.k, args.n, args.min_girth, args.cap)
-    found = enumerate_regular(spec)
+    found = enumerate_regular(args.k, args.n, args.min_girth, args.cap)
     for g in found:
         print(graph6.encode(g))
     print(f"{len(found)} graphs")

@@ -199,6 +199,8 @@ def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:
     full layer i has exactly one parent.
     """
     _check_vertex(root, g.order)
+    if type(depth) is not int:
+        raise ParameterOutOfRange(f"depth must be an integer, got {depth!r}")
     k = g.regularity()
     if k is None:
         raise DegreeMismatch("Moore tree layers need a regular graph")
@@ -305,6 +307,8 @@ def iter_moore_double(
     A root whose Moore tree is not induced, or whose leaves admit no
     bijection, is skipped; its error is raised only when no root yields.
     """
+    if type(r) is not int:
+        raise ParameterOutOfRange(f"r must be an integer, got {r!r}")
     gg = g.girth()
     if gg is ACYCLIC or gg < 4:
         raise ParameterOutOfRange("Moore-tree doubling needs girth at least 4")

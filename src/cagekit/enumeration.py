@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .canon import certificate
 from .errors import CapExceeded, ParameterOutOfRange
-from .graph import Graph, Record
+from .graph import Graph
 from .limits import DEFAULT_BUDGET, Budget
 
 _ORDER_CAPS = {2: 16, 3: 16, 4: 11}
@@ -15,14 +15,9 @@ def order_cap(k: int) -> int:
     return _ORDER_CAPS.get(k, _FALLBACK_CAP)
 
 
-class EnumSpec(Record):
-    __slots__ = ("k", "n", "min_girth", "cap")
-
-    def __init__(self, k: int, n: int, min_girth: int = 3, cap: int = DEFAULT_BUDGET):
-        self._set(k, n, min_girth, cap)
-
-
-def enumerate_regular(spec: EnumSpec) -> list[Graph]:
+def enumerate_regular(
+    k: int, n: int, min_girth: int = 3, cap: int = DEFAULT_BUDGET
+) -> list[Graph]:
     """All connected k-regular graphs of order n with girth >= min_girth.
 
     Backtracks vertex by vertex over neighbor sets in lexicographic order;
@@ -30,8 +25,10 @@ def enumerate_regular(spec: EnumSpec) -> list[Graph]:
     class. Girth pruning rejects an edge whenever its endpoints are already
     close; completeness comes from the final certificate dedup.
     """
-    k, n, girth = spec.k, spec.n, spec.min_girth
-    if k < 2 or girth < 3:
+    for name, value in (("k", k), ("n", n), ("min_girth", min_girth)):
+        if type(value) is not int:
+            raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
+    if k < 2 or min_girth < 3:
         raise ParameterOutOfRange("need degree >= 2 and girth floor >= 3")
     if n < k + 1 or k * n % 2 != 0:
         raise ParameterOutOfRange(
@@ -39,7 +36,7 @@ def enumerate_regular(spec: EnumSpec) -> list[Graph]:
         )
     if n > order_cap(k):
         raise CapExceeded(f"order {n} above the enforced cap {order_cap(k)} for k={k}")
-    budget = Budget(spec.cap)
+    budget = Budget(cap)
     adj = [0] * n
     deg = [0] * n
     full = (1 << n) - 1
@@ -56,10 +53,10 @@ def enumerate_regular(spec: EnumSpec) -> list[Graph]:
         return out
 
     def too_close(u: int, w: int) -> bool:
-        # True when dist(u, w) <= girth - 2, so edge uw would close a short cycle
+        # True when dist(u, w) <= min_girth - 2, so edge uw would close a short cycle
         frontier = 1 << u
         seen = frontier
-        for _ in range(girth - 2):
+        for _ in range(min_girth - 2):
             nxt = grow(frontier) & ~seen
             if nxt >> w & 1:
                 return True

@@ -53,8 +53,6 @@ class Record:
 
 #: girth() result for forests.
 ACYCLIC = _Sentinel("Acyclic")
-#: distances_from() entry for a vertex in another component.
-UNREACHABLE = _Sentinel("Unreachable")
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -193,12 +191,6 @@ class Graph:
         return f"Graph(order={self.order}, size={self.size})"
 
     # -- distances ------------------------------------------------------------
-
-    def distances_from(self, src: int) -> tuple:
-        """BFS distances from src; UNREACHABLE where there is no path."""
-        _check_vertex(src, self.order)
-        dist = bfs_distances(self._adj, src)
-        return tuple(dist) if -1 not in dist else tuple(d if d >= 0 else UNREACHABLE for d in dist)
 
     def is_connected(self) -> bool:
         if self.order == 0:

@@ -249,6 +249,9 @@ def iter_delete_edges_add_vertices(
     budget: Budget | int | None = None,
 ) -> Iterator[Emitted]:
     """Completions for the first edge-deletion combination that admits any."""
+    for name, count in (("num_edges", num_edges), ("num_vertices", num_vertices)):
+        if type(count) is not int:
+            raise ParameterOutOfRange(f"{name} must be an integer, got {count!r}")
     k, target_girth = _target_girth(g, target_girth)
     if num_edges < 0 or num_vertices < 0 or target_girth < 3:
         raise ParameterOutOfRange("counts must be nonnegative, girth at least 3")
@@ -273,6 +276,8 @@ def iter_delete_vertices(
     budget: Budget | int | None = None,
 ) -> Iterator[Emitted]:
     """Completions for the first vertex-deletion combination that admits any."""
+    if type(num_vertices) is not int:
+        raise ParameterOutOfRange(f"num_vertices must be an integer, got {num_vertices!r}")
     k, target_girth = _target_girth(g, target_girth)
     if not 1 <= num_vertices <= 4:
         raise TooManyVertices("vertex deletion is limited to 1..4 vertices")

@@ -6,10 +6,13 @@ library must agree with them: the same (params, graph) list in the same
 order, the same budget steps spent, and `BudgetExhausted` after the same
 prefix. `find_double_matching` reads every leaf distance from a full BFS;
 the library's search, which cuts each BFS short, must return the same
-bijection and joined graph after the same budget steps.
+bijection and joined graph after the same budget steps. The distances come
+from a breadth-first loop of this module's own, so the oracle shares no
+BFS with the library.
 """
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Iterator
 
@@ -20,7 +23,7 @@ from cagekit.constructions import (
     apply_subdivide_triple,
 )
 from cagekit.errors import NotCubic, NotTetravalent, ParameterOutOfRange
-from cagekit.graph import ACYCLIC, UNREACHABLE, Graph
+from cagekit.graph import ACYCLIC, Graph
 from cagekit.limits import Budget, coerce_budget
 
 
@@ -35,17 +38,32 @@ def _required_girth(g: Graph, target_girth: int | None) -> int:
     return target_girth
 
 
+def distances(g: Graph, src: int) -> list:
+    """Distances from src, None where there is no path."""
+    adj = g.adjacency
+    dist = [None] * len(adj)
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def edge_distance(g: Graph, e1, e2):
     """The distance of the closest endpoint pair of two distinct edges plus
-    one, so adjacent edges are at distance 1; UNREACHABLE across components."""
-    ds = [g.distances_from(u)[v] for u in e1 for v in e2]
-    near = [d for d in ds if d is not UNREACHABLE]
-    return min(near) + 1 if near else UNREACHABLE
+    one, so adjacent edges are at distance 1; None across components."""
+    ds = [distances(g, u)[v] for u in e1 for v in e2]
+    near = [d for d in ds if d is not None]
+    return min(near) + 1 if near else None
 
 
 def _edge_distance_at_least(g: Graph, e1, e2, floor: int) -> bool:
     d = edge_distance(g, e1, e2)
-    return d is UNREACHABLE or d >= floor
+    return d is None or d >= floor
 
 
 def iter_subdivide_two(
@@ -109,10 +127,10 @@ def find_double_matching(
     t = len(leaves)
     dist = [[0] * t for _ in range(t)]
     for i in range(t):
-        row = h.distances_from(leaves[i])
+        row = distances(h, leaves[i])
         for j in range(t):
             d = row[leaves[j]]
-            dist[i][j] = 10**9 if d is UNREACHABLE else d
+            dist[i][j] = 10**9 if d is None else d
     perm = [-1] * t
     used = [False] * t
 

@@ -11,9 +11,9 @@ from cagekit import graph6
 from cagekit.bounds import moore_bound, sauer_bound
 from cagekit.canon import certificate, is_isomorphic
 from cagekit.constructions import amalgamate, canonical_double_cover
-from cagekit.enumeration import EnumSpec, enumerate_regular
+from cagekit.enumeration import enumerate_regular
 from cagekit.families import GdgpSpec, circulant44, gdgp, quartic_parity_graph
-from cagekit.graph import ACYCLIC, UNREACHABLE, Graph, check_kg, remove_vertices
+from cagekit.graph import ACYCLIC, Graph, bfs_distances, check_kg, remove_vertices
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
@@ -56,7 +56,7 @@ def test_criterion_03_girth_six_spectrum_and_twelve_vertex_split(report_3_6):
     assert report_3_6.unresolved_orders() == []
     hw = heawood()
     matched = False
-    for g12 in enumerate_regular(EnumSpec(3, 12, 5)):
+    for g12 in enumerate_regular(3, 12, 5):
         outs = [h for _, h in construct("subdivide_two", g12)]
         if len(outs) >= 6 and any(is_isomorphic(h, hw) for h in outs):
             matched = True
@@ -115,8 +115,8 @@ def test_criterion_09_canonical_double_covers():
     k33 = complete_bipartite(3, 3)
     split = canonical_double_cover(k33)
     assert not split.is_connected()
-    dist = split.distances_from(0)
-    near = [v for v in range(split.order) if dist[v] is not UNREACHABLE]
+    dist = bfs_distances(split.adjacency, 0)
+    near = [v for v in range(split.order) if dist[v] >= 0]
     assert len(near) == 6
     for side in (near, [v for v in range(split.order) if v not in set(near)]):
         drop = [v for v in range(split.order) if v not in set(side)]
@@ -125,14 +125,14 @@ def test_criterion_09_canonical_double_covers():
 
 
 def test_criterion_10_enumeration_oracle(cubic_brute_force):
-    assert enumerate_regular(EnumSpec(4, 9, 4)) == []
-    assert enumerate_regular(EnumSpec(3, 12, 6)) == []
-    only = enumerate_regular(EnumSpec(3, 10, 5))
+    assert enumerate_regular(4, 9, 4) == []
+    assert enumerate_regular(3, 12, 6) == []
+    only = enumerate_regular(3, 10, 5)
     assert len(only) == 1 and is_isomorphic(only[0], petersen())
-    only = enumerate_regular(EnumSpec(3, 14, 6))
+    only = enumerate_regular(3, 14, 6)
     assert len(only) == 1 and is_isomorphic(only[0], heawood())
     for n, expected in ((4, 1), (6, 2), (8, 5)):
-        mine = {certificate(g) for g in enumerate_regular(EnumSpec(3, n, 3))}
+        mine = {certificate(g) for g in enumerate_regular(3, n, 3)}
         brute = set(cubic_brute_force[n])
         assert len(mine) == expected
         assert mine == brute

@@ -19,7 +19,7 @@ from cagekit.constructions import (
     iter_subdivide_two,
     moore_tree_layers,
 )
-from cagekit.enumeration import EnumSpec, enumerate_regular
+from cagekit.enumeration import enumerate_regular
 from cagekit.errors import (
     BudgetExhausted,
     DegreeMismatch,
@@ -37,8 +37,8 @@ from cagekit.errors import (
 )
 from cagekit.families import CirculantSpec, circulant, circulant44, quartic_parity_graph
 from cagekit.graph import (
-    UNREACHABLE,
     Graph,
+    bfs_distances,
     bipartition,
     disjoint_union,
     edit,
@@ -134,6 +134,12 @@ def test_subdivide_three_orders():
         assert_regular(h, 3, 14, 5)
 
 
+@pytest.mark.parametrize("name", ["iter_subdivide_two", "iter_subdivide_three"])
+def test_subdivision_scans_need_a_cubic_input(name):
+    with pytest.raises(NotCubic):
+        next(getattr(constructions, name)(complete_graph(5)))
+
+
 def test_subdivide_merge_on_k5_gives_octahedron():
     outs = [h for _, h in construct("subdivide_merge", complete_graph(5))]
     octahedron = circulant(CirculantSpec(6, (1, 2, 4, 5)))
@@ -205,8 +211,8 @@ def test_small_regular_file_holds_every_such_graph():
     assert Counter(g.order for g in quartic) == {5: 1, 6: 1, 7: 2, 8: 6, 9: 16}
     assert all(g.is_connected() for g in cubic + quartic)
     assert len({certificate(g) for g in cubic + quartic}) == len(cubic) + len(quartic)
-    assert cubic[:27] == [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
-    assert quartic[:10] == [g for n in (5, 6, 7, 8) for g in enumerate_regular(EnumSpec(4, n))]
+    assert cubic[:27] == [g for n in (4, 6, 8, 10) for g in enumerate_regular(3, n)]
+    assert quartic[:10] == [g for n in (5, 6, 7, 8) for g in enumerate_regular(4, n)]
     # The same 112 cubic and 26 quartic graphs as when certificates came from
     # the all-zero root, in a new order: sorted within each order by the
     # oracle's certificates from that root, the lines are the earlier file.
@@ -302,7 +308,7 @@ def test_far_rows_agree_with_edge_distance():
                     if i == j:
                         continue
                     d = scan_oracle.edge_distance(g, e1, e2)
-                    far = d is UNREACHABLE or d >= floor
+                    far = d is None or d >= floor
                     assert (row(i) >> j & 1) == far, (graph6.encode(g), floor, e1, e2)
 
 
@@ -328,6 +334,13 @@ def test_moore_tree_layers_sizes():
     assert layers[0] == [0]
     with pytest.raises(TreeNotInduced):
         moore_tree_layers(complete_bipartite(3, 3), 0, 2)
+    with pytest.raises(DegreeMismatch):
+        moore_tree_layers(complete_bipartite(2, 3), 0, 1)
+
+
+def test_moore_tree_depth_is_an_int():
+    with pytest.raises(ParameterOutOfRange, match=r"^depth must be an integer, got 1\.5$"):
+        moore_tree_layers(petersen(), 0, 1.5)
 
 
 @pytest.mark.parametrize("root", [1.0, True, -1, 10])
@@ -351,7 +364,7 @@ def test_moore_tree_layers_have_unique_parents():
     returned = 0
     for g in _moore_layer_inputs():
         for root in range(g.order):
-            dist = g.distances_from(root)
+            dist = bfs_distances(g.adjacency, root)
             for depth in range(1, 5):
                 try:
                     layers = moore_tree_layers(g, root, depth)
@@ -407,7 +420,9 @@ def test_moore_double_matching_replays():
     (petersen(), 2, RadiusTooLarge),
     (complete_graph(4), 0, ParameterOutOfRange),
     (complete_bipartite(2, 3), 0, DegreeMismatch),
-], ids=["radius", "girth-3", "not-regular"])
+    (petersen(), 1.0, ParameterOutOfRange),
+    (petersen(), True, ParameterOutOfRange),
+], ids=["radius", "girth-3", "not-regular", "radius-float", "radius-bool"])
 def test_moore_double_rejects_its_input_at_the_first_next(g, r, error):
     grown = iter_moore_double(g, r)
     with pytest.raises(error):
@@ -458,7 +473,7 @@ def test_double_matching_matches_the_full_distance_oracle():
         assert found == scan_oracle.find_double_matching(h, leaves, gg, want)
         assert got.remaining == want.remaining
         cases += 1
-        apart += any(h.distances_from(leaves[0])[b] is UNREACHABLE for b in leaves)
+        apart += any(bfs_distances(h.adjacency, leaves[0])[b] < 0 for b in leaves)
     assert cases > 300 and apart > 0
 
 
@@ -552,9 +567,9 @@ def test_cdc_of_bipartite_splits_into_two_copies():
     k33 = complete_bipartite(3, 3)
     h = canonical_double_cover(k33)
     assert not h.is_connected()
-    dist = h.distances_from(0)
-    near = [v for v in range(h.order) if dist[v] is not UNREACHABLE]
-    far = [v for v in range(h.order) if dist[v] is UNREACHABLE]
+    dist = bfs_distances(h.adjacency, 0)
+    near = [v for v in range(h.order) if dist[v] >= 0]
+    far = [v for v in range(h.order) if dist[v] < 0]
     assert len(near) == len(far) == 6
     for part in (near, far):
         keep = set(part)

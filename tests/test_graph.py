@@ -8,7 +8,6 @@ import pytest
 
 from cagekit.graph import (
     ACYCLIC,
-    UNREACHABLE,
     Graph,
     bfs_distances,
     bipartition,
@@ -137,12 +136,9 @@ def test_acyclic_sentinel_refuses_comparison():
 
 
 def test_distance_and_unreachable():
-    g = cycle_graph(6)
-    assert g.distances_from(0) == (0, 1, 2, 3, 2, 1)
+    assert bfs_distances(cycle_graph(6).adjacency, 0) == [0, 1, 2, 3, 2, 1]
     two = disjoint_union(cycle_graph(3), cycle_graph(3))
-    assert two.distances_from(0) == (0, 1, 1) + (UNREACHABLE,) * 3
-    with pytest.raises(IndexOutOfRange):
-        g.distances_from(6)
+    assert bfs_distances(two.adjacency, 0) == [0, 1, 1, -1, -1, -1]
 
 
 def test_connectivity():
@@ -150,6 +146,21 @@ def test_connectivity():
     assert not disjoint_union(cycle_graph(3), cycle_graph(3)).is_connected()
     with pytest.raises(ZeroOrder):
         Graph.from_edges(0, []).is_connected()
+
+
+def test_as_edge_normalizes_a_present_edge():
+    p = petersen()
+    assert p.as_edge((1, 0)) == (0, 1)
+    with pytest.raises(SameEdge):
+        p.as_edge((3, 3))
+    with pytest.raises(NotAnEdge):
+        p.as_edge((0, 2))
+
+
+def test_equal_graphs_hash_alike_and_show_their_counts():
+    g, twin = petersen(), graph6.decode(graph6.encode(petersen()))
+    assert g == twin and g is not twin and hash(g) == hash(twin)
+    assert repr(g) == "Graph(order=10, size=15)"
 
 
 def test_constructor_validation():
@@ -283,6 +294,12 @@ def test_a_repeated_removal_raises():
         remove_vertices(petersen(), [3, 3])
 
 
+@pytest.mark.parametrize("gone", [[10], [True], [-1], [2.0]])
+def test_remove_vertices_takes_only_vertices(gone):
+    with pytest.raises(IndexOutOfRange, match=r" not in 0\.\.9$"):
+        remove_vertices(petersen(), gone)
+
+
 def test_edit_errors():
     c5 = cycle_graph(5)
     with pytest.raises(NotAnEdge):
@@ -389,12 +406,9 @@ def test_bfs_distances_is_distances_from_cut_at_radius(radius):
         rows = [set(row) for row in g.adjacency]
         oracle = _all_pairs_distances(g)
         for src in range(g.order):
-            assert [UNREACHABLE if d is None else d for d in oracle[src]] == list(
-                g.distances_from(src)
-            )
             want = [
-                -1 if d is UNREACHABLE or (radius is not None and d > radius) else d
-                for d in g.distances_from(src)
+                -1 if d is None or (radius is not None and d > radius) else d
+                for d in oracle[src]
             ]
             assert bfs_distances(g.adjacency, src, radius) == want
             assert bfs_distances(rows, src, radius) == want

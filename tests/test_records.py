@@ -8,7 +8,6 @@ import pickle
 
 import pytest
 
-from cagekit.enumeration import EnumSpec
 from cagekit.families import CirculantSpec, GdgpSpec
 from cagekit.recipes import Operation, Recipe
 from cagekit.spectrum import OrderState, OrderStatus, SearchConfig, SpectrumReport
@@ -32,11 +31,6 @@ def status(n=12):
 
 # name: (build, build with one field changed, repr text)
 CASES = {
-    "EnumSpec": (
-        lambda: EnumSpec(3, 8, 4),
-        lambda: EnumSpec(3, 8, 5),
-        "EnumSpec(k=3, n=8, min_girth=4, cap=100000000)",
-    ),
     "CirculantSpec": (
         lambda: CirculantSpec(10, [9, 1]),
         lambda: CirculantSpec(10, [1, 3, 7, 9]),

@@ -11,7 +11,7 @@ import rewire_oracle
 from cagekit import graph6, rewire
 from cagekit.canon import is_isomorphic
 from cagekit.constructions import apply_subdivide_pair
-from cagekit.enumeration import EnumSpec, enumerate_regular
+from cagekit.enumeration import enumerate_regular
 from cagekit.errors import (
     DegreeImbalance,
     DegreeMismatch,
@@ -209,6 +209,21 @@ def test_deletion_searches_name_the_missing_cycle_before_the_degrees():
             list(search())
 
 
+@pytest.mark.parametrize(
+    "search, name",
+    [
+        (partial(iter_delete_vertices, petersen(), 2.0, 5), "num_vertices"),
+        (partial(iter_delete_vertices, petersen(), True, 5), "num_vertices"),
+        (partial(iter_delete_edges_add_vertices, heawood(), 3.0, 2, 6), "num_edges"),
+        (partial(iter_delete_edges_add_vertices, heawood(), 3, 2.0, 6), "num_vertices"),
+    ],
+    ids=["vertices-float", "vertices-bool", "edges-float", "added-float"],
+)
+def test_deletion_counts_are_ints(search, name):
+    with pytest.raises(ParameterOutOfRange, match=rf"^{name} must be an integer, got "):
+        next(search())
+
+
 def test_a_rewiring_may_raise_the_girth():
     """The target girth of a deletion search is not capped at the parent's:
     a splice of girth 4 rewires back to a (3,8)-graph of order 34."""
@@ -319,7 +334,7 @@ def test_orbit_pruning_changes_no_output(monkeypatch):
     """Every emitted graph and every refutation matches a run that tries
     each deletion, on all cubic graphs of order <= 10 plus Petersen and
     Heawood; so does a run with no generators."""
-    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(3, n)]
     graphs += [petersen(), heawood()]
 
     def outcomes():
@@ -356,7 +371,7 @@ def test_wrong_generator_is_not_read_as_no_candidate(monkeypatch, bad):
 
 
 def _oracle_graphs() -> list[Graph]:
-    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(EnumSpec(3, n))]
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_regular(3, n)]
     tc = tutte_coxeter()
     perm = list(range(tc.order))
     random.Random(17).shuffle(perm)

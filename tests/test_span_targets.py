@@ -16,9 +16,12 @@ RETIRED = {
     ("graph", "add_edges"), ("graph", "remove_edges"), ("graph", "add_vertices"),
     ("constructions", "moore_double_matching"),
 }
-# Graph methods retired on purpose: distances_from answers every distance
-# question, and the edge-distance rule lives on in tests/scan_oracle.py.
-RETIRED_METHODS = {("graph", "Graph", "distance"), ("graph", "Graph", "edge_distance")}
+# Graph methods retired on purpose: graph.bfs_distances answers every
+# distance question, and the edge-distance rule lives on in tests/scan_oracle.py.
+RETIRED_METHODS = {
+    ("graph", "Graph", "distance"), ("graph", "Graph", "edge_distance"),
+    ("graph", "Graph", "distances_from"),
+}
 
 
 def _table(name: str) -> tuple:
