@@ -43,6 +43,19 @@ of bliss (Junttila & Kaski, 2007), with the distance profile as the one
 vertex invariant, applied at the root; no invariant prunes a node below it,
 so the least leaf, and with it the certificate, is that of the full tree
 under that root.
+
+A disconnected graph is canonized one component at a time: the profile of
+vertex 0 counts the vertices it cannot reach, and the pass that grows the
+balls also yields each vertex's component. Each component runs the search
+on its own rows, rooted at its own profiles, and the canonical components
+are laid out in order of (order, least leaf's rows), so that order defines
+the certificate of a disconnected graph. A search of the whole graph
+would also explore every interchange of isomorphic components (about half
+a minute for 200 isolated vertices on a 2-core VM). Each component's
+automorphisms, lifted to the graph, and one swap of each two neighboring
+components with equal rows, position for position, generate the graph's
+automorphism group.
+
 The automorphisms found are kept on the graph; they generate its
 automorphism group, which the rewiring searches use to skip isomorphic
 deletions. The canonical form moves the graph's rows to their canonical
@@ -149,9 +162,10 @@ def refine(adj: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
     return [rank[s] for s in cell_of]
 
 
-def _distance_profiles(adj) -> list[tuple[int, ...]]:
+def _distance_profiles(adj) -> tuple[list[tuple[int, ...]], list[int]]:
     """For each vertex v, how many vertices lie at distance 0, 1, ..., n-1
-    from v, then how many v cannot reach. Isomorphisms preserve it.
+    from v, then how many v cannot reach; and the bit mask of v's component.
+    Isomorphisms preserve the profiles.
 
     All distance balls grow at once, as bit masks: the ball of radius d
     about v is v's ball of radius d-1 joined with its neighbors' balls of
@@ -179,15 +193,16 @@ def _distance_profiles(adj) -> list[tuple[int, ...]]:
                 size[v] = s
                 still.append(v)
         live = still
-    return [tuple(c) + (0,) * (n - len(c)) + (n - s,) for c, s in zip(counts, size)]
+    profiles = [tuple(c) + (0,) * (n - len(c)) + (n - s,) for c, s in zip(counts, size)]
+    return profiles, ball
 
 
-def _canonical_perm(g: Graph) -> list[int]:
-    """Permutation old->new giving the canonical labeling; stores the
-    automorphisms the search finds in `g._autos`."""
-    n = g.order
-    adj = g.adjacency
-    cell_of, order, size = _stable_partition(adj, _distance_profiles(adj))
+def _search(adj, colors):
+    """The least leaf of the search rooted at the stable partition of
+    `colors`: its adjacency bit rows, the vertex at each position and the
+    position of each vertex; and the automorphisms found."""
+    n = len(adj)
+    cell_of, order, size = _stable_partition(adj, colors)
 
     first = best = None  # (key, vertex at each position, position of each vertex, path)
     autos: list[list[int]] = []
@@ -256,8 +271,49 @@ def _canonical_perm(g: Graph) -> list[int]:
         return None
 
     search(cell_of, order, size, 0, [])
-    g._autos = autos
-    return best[2]
+    return best[0], best[1], best[2], autos
+
+
+def _canonical_perm(g: Graph) -> list[int]:
+    """Permutation old->new giving the canonical labeling; stores the
+    automorphisms the search finds in `g._autos`. A disconnected graph is
+    searched one component at a time (see the module docstring)."""
+    n = g.order
+    adj = g.adjacency
+    profiles, ball = _distance_profiles(adj)
+    if n == 0 or profiles[0][-1] == 0:
+        _, _, perm, g._autos = _search(adj, profiles)
+        return perm
+    members: dict[int, list[int]] = {}
+    for v, b in enumerate(ball):
+        members.setdefault(b, []).append(v)
+    parts = []
+    for comp in members.values():
+        local = {v: i for i, v in enumerate(comp)}
+        rows = [[local[w] for w in adj[v]] for v in comp]
+        parts.append((comp, *_search(rows, [profiles[v] for v in comp])))
+    parts.sort(key=lambda part: (len(part[0]), part[1]))
+    perm = [0] * n
+    g._autos = []
+    offset = 0
+    last_key = last_at = None  # rows, and vertex at each position, of the last component
+    for comp, key, at, pos, autos in parts:
+        for gamma in autos:
+            lift = list(range(n))
+            for v, i in zip(comp, gamma):
+                lift[v] = comp[i]
+            g._autos.append(lift)
+        for v, p in zip(comp, pos):
+            perm[v] = offset + p
+        at = [comp[i] for i in at]
+        if key == last_key:
+            swap = list(range(n))
+            for u, v in zip(last_at, at):
+                swap[u], swap[v] = v, u
+            g._autos.append(swap)
+        last_key, last_at = key, at
+        offset += len(comp)
+    return perm
 
 
 def certificate(g: Graph) -> str:
@@ -271,8 +327,9 @@ def automorphism_generators(g: Graph) -> list[list[int]]:
     """Automorphisms (vertex v -> gamma[v]) that generate the automorphism
     group of g; empty when the group is trivial.
 
-    They are the ones the canonical search found, so a graph whose
-    certificate is known has them already; otherwise the search runs once.
+    They are the ones the canonical search found, with the swaps of equal
+    components of a disconnected graph, so a graph whose certificate is
+    known has them already; otherwise the search runs once.
     """
     if g._autos is None:
         _canonical_perm(g)

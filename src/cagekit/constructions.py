@@ -42,6 +42,8 @@ def _required_girth(g: Graph, target_girth: int | None) -> int:
     gg = g.girth()
     if target_girth is None:
         return gg
+    if type(target_girth) is not int:
+        raise ParameterOutOfRange(f"target_girth must be an integer, got {target_girth!r}")
     if target_girth < 3 or target_girth > gg:
         raise ParameterOutOfRange(
             f"target girth {target_girth} outside 3..girth {gg}"

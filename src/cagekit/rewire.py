@@ -188,6 +188,8 @@ def _edge_partials(
 def _target_girth(g: Graph, target_girth: int | None) -> tuple[int, int]:
     """The parent's degree k and the target girth, by default the parent's,
     which a forest lacks; a parent that is not regular has no k."""
+    if target_girth is not None and type(target_girth) is not int:
+        raise ParameterOutOfRange(f"target_girth must be an integer, got {target_girth!r}")
     if target_girth is None and g.girth() is ACYCLIC:
         raise ParameterOutOfRange("input graph has no cycle")
     k = g.regularity()

@@ -3,16 +3,17 @@
 It refines every vertex from scratch at every search node and prunes with at
 most 64 automorphisms, one step at a time. The search is rooted at a given
 coloring: the certificate roots it at the distance profiles, found with a
-BFS of its own, as the library does; all-zero colors give the certificates
-of the library before it used profiles. The library's certificates and
-refinements must equal these exactly.
+BFS of its own, as the library does, and canonizes each component on its
+own; all-zero colors give the certificates of the library before it used
+profiles or split components. The library's certificates and refinements
+must equal these exactly.
 """
 from __future__ import annotations
 
 from collections import deque
 
 from cagekit import graph6
-from cagekit.graph import Graph, relabeled
+from cagekit.graph import Graph, disjoint_union, relabeled
 
 _MAX_AUTOS = 64
 
@@ -135,9 +136,42 @@ def canonical_perm(g: Graph, colors=None) -> list[int]:
     return best["pos"]
 
 
+def components(g: Graph) -> list[list[int]]:
+    """The vertex sets of g's components, each sorted, by least vertex."""
+    seen: set[int] = set()
+    comps = []
+    for root in range(g.order):
+        if root not in seen:
+            comp, queue = {root}, deque([root])
+            while queue:
+                for w in g.neighbors(queue.popleft()):
+                    if w not in comp:
+                        comp.add(w)
+                        queue.append(w)
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
+
+
 def certificate(g: Graph, colors=None) -> str:
     """graph6 line of the canonical form from the root `colors`, by default
-    the distance profiles."""
-    if colors is None:
-        colors = distance_profiles(g)
-    return graph6.encode(relabeled(g, canonical_perm(g, colors)))
+    the distance profiles.
+
+    By default each component is canonized alone, rooted at its own
+    profiles, and the canonical components are laid side by side in order
+    of (order, adjacency rows). Given colors, the whole graph is searched
+    at once."""
+    if colors is not None:
+        return graph6.encode(relabeled(g, canonical_perm(g, colors)))
+    parts = []
+    for comp in components(g):
+        local = {v: i for i, v in enumerate(comp)}
+        h = Graph([[local[w] for w in g.neighbors(v)] for v in comp])
+        form = relabeled(h, canonical_perm(h, distance_profiles(h)))
+        rows = tuple(sum(1 << w for w in form.neighbors(v)) for v in range(form.order))
+        parts.append((form.order, rows, form))
+    parts.sort(key=lambda part: part[:2])
+    whole = Graph([])
+    for _, _, form in parts:
+        whole = disjoint_union(whole, form)
+    return graph6.encode(whole)

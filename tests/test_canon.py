@@ -163,11 +163,14 @@ def test_highly_symmetric_graphs_complete_quickly():
         hypercube(7),
         tc2,
         disjoint_union(tc2, tc2),
+        Graph.from_edges(200, []),
+        Graph.from_edges(200, [(2 * i, 2 * i + 1) for i in range(100)]),
     ]
     start = time.perf_counter()
     for g in graphs:
         assert certificate(g) == certificate(shuffled(g, random.Random(1)))
-    # well under a second each on a 2-core VM; minutes without orbit pruning
+    # well under a second each on a 2-core VM; minutes without orbit pruning,
+    # and 20-36 s for the edgeless graph searched whole, not by component
     assert time.perf_counter() - start < 20
 
 
@@ -183,6 +186,11 @@ def _oracle_graphs():
         disjoint_union(mcgee(), mcgee()),
         tutte_coxeter(),
         circulant(CirculantSpec(60, (1, 59))),
+        # components the whole-graph search interleaved or put in another order
+        disjoint_union(complete_graph(4), cycle_graph(6)),
+        disjoint_union(path_graph(3), complete_bipartite(1, 3)),
+        disjoint_union(path_graph(4), complete_bipartite(1, 3)),
+        disjoint_union(path_graph(3), path_graph(3)),
     ]
     return graphs
 
@@ -294,10 +302,11 @@ def test_construction_outputs_match_the_old_canonizer():
 
 
 def test_distance_profiles_are_equal_under_relabeling():
-    """The library's profiles equal the oracle's BFS counts and move with a
-    relabeling, also with balls wider than 64 and 128 bits, diameters above
-    30 with unequal eccentricities, and components of unequal diameter
-    beside isolated vertices, whose balls stop growing at different levels."""
+    """The library's profiles equal the oracle's BFS counts, and its final
+    balls the oracle's components; the profiles move with a relabeling,
+    also with balls wider than 64 and 128 bits, diameters above 30 with
+    unequal eccentricities, and components of unequal diameter beside
+    isolated vertices, whose balls stop growing at different levels."""
     rng = random.Random(13)
     tc = tutte_coxeter()
     graphs = [petersen(), mcgee(), disjoint_union(heawood(), cycle_graph(5))] + _corpus()
@@ -315,12 +324,14 @@ def test_distance_profiles_are_equal_under_relabeling():
         disjoint_union(hypercube(7), cycle_graph(35)),
     ]
     for g in graphs:
-        profiles = canon._distance_profiles(g.adjacency)
+        profiles, ball = canon._distance_profiles(g.adjacency)
         assert profiles == canon_oracle.distance_profiles(g)
+        mask = {v: sum(1 << u for u in c) for c in canon_oracle.components(g) for v in c}
+        assert ball == [mask[v] for v in range(g.order)]
         for _ in range(3):
             perm = list(range(g.order))
             rng.shuffle(perm)
-            moved = canon._distance_profiles(relabeled(g, perm).adjacency)
+            moved, _ = canon._distance_profiles(relabeled(g, perm).adjacency)
             assert [moved[perm[v]] for v in range(g.order)] == profiles
 
 
@@ -328,6 +339,17 @@ def test_generators_span_the_whole_automorphism_group():
     rng = random.Random(17)
     graphs = graph6.read_file(os.path.join(DATA, "small_regular.g6"))
     graphs += [shuffled(make(), rng) for make in (petersen, heawood, mcgee) for _ in range(2)]
+    c4 = cycle_graph(4)
+    graphs += [
+        shuffled(g, rng)
+        for g in (
+            disjoint_union(petersen(), petersen()),
+            disjoint_union(complete_graph(4), cycle_graph(6)),
+            disjoint_union(disjoint_union(c4, c4), c4),
+            disjoint_union(petersen(), Graph.from_edges(2, [])),
+            disjoint_union(path_graph(3), complete_bipartite(1, 3)),
+        )
+    ]
     for g in graphs:
         edges = set(g.edges())
         gens = automorphism_generators(g)

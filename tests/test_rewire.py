@@ -10,7 +10,12 @@ import pytest
 import rewire_oracle
 from cagekit import graph6, rewire
 from cagekit.canon import is_isomorphic
-from cagekit.constructions import apply_subdivide_pair
+from cagekit.constructions import (
+    apply_subdivide_pair,
+    iter_subdivide_merge,
+    iter_subdivide_three,
+    iter_subdivide_two,
+)
 from cagekit.enumeration import enumerate_regular
 from cagekit.errors import (
     DegreeImbalance,
@@ -221,6 +226,26 @@ def test_deletion_searches_name_the_missing_cycle_before_the_degrees():
 )
 def test_deletion_counts_are_ints(search, name):
     with pytest.raises(ParameterOutOfRange, match=rf"^{name} must be an integer, got "):
+        next(search())
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        partial(iter_delete_vertices, heawood(), 2, 6.0),
+        partial(iter_delete_vertices, petersen(), 1, True),
+        partial(iter_delete_edges_add_vertices, heawood(), 3, 2, 6.0),
+        partial(iter_subdivide_two, petersen(), 5.0),
+        partial(iter_subdivide_three, petersen(), 5.0),
+        partial(iter_subdivide_merge, complete_graph(5), 3.0),
+    ],
+    ids=["vertices-float", "vertices-bool", "edges-float", "two-float", "three-float",
+         "merge-float"],
+)
+def test_target_girth_is_an_int(search):
+    """A direct library call with a float or bool target girth is refused
+    before any search, as `construct` refuses it."""
+    with pytest.raises(ParameterOutOfRange, match="^target_girth must be an integer, got "):
         next(search())
 
 
