@@ -203,6 +203,8 @@ def moore_tree_layers(g: Graph, root: int, depth: int) -> list[list[int]]:
     _check_vertex(root, g.order)
     if type(depth) is not int:
         raise ParameterOutOfRange(f"depth must be an integer, got {depth!r}")
+    if depth < 0:
+        raise ParameterOutOfRange(f"depth must not be negative, got {depth}")
     k = g.regularity()
     if k is None:
         raise DegreeMismatch("Moore tree layers need a regular graph")
@@ -281,6 +283,8 @@ def find_double_matching(
 
 def _doubling_parts(g: Graph, r: int, root: int):
     """Deleted copy plus sorted leaf labels for Moore-tree doubling."""
+    if r < 0:
+        raise RadiusTooLarge(f"radius {r} is negative")
     layers = moore_tree_layers(g, root, r + 1)
     ball = [v for layer in layers[: r + 1] for v in layer]
     h, relabel = remove_vertices(g, ball)

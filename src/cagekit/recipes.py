@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families
 from .bounds import moore_tree_size
@@ -61,9 +61,6 @@ class Recipe(Record):
             raise MalformedInput(f"bad recipe line {line.strip()!r}: {err!r}") from None
 
 
-ANY_DEGREE = range(2**31)
-
-
 class Operation(Record):
     """One construction, as the engine grows with it, the CLI runs it and a
     recipe replays it.
@@ -77,22 +74,22 @@ class Operation(Record):
       fills from flags, taking a unary operation's own default for one not
       given; a `target_girth` defaults to the parent's girth.
     - `steps(n, k, g)` yields the engine's steps toward a (k,g)-graph of
-      order n, each a (parent order, grow keywords). The engine grows from
-      each (k,g)-graph it stores of that order, or from no parent when the
-      order is None.
-    - `degrees` holds the k the engine tries the operation for.
+      order n, each a (parent order, grow keywords), and none for a k the
+      operation does not serve. The engine grows from each (k,g)-graph it
+      stores of that order, or from no parent when the order is None. An
+      operation without `steps` is one the spectrum does not run, except
+      the binary amalgam, whose closure it runs.
 
     Entries reach library functions through module globals at call time, so
     patched or traced names take effect.
     """
 
-    __slots__ = ("name", "arity", "apply", "grow", "steps", "degrees")
+    __slots__ = ("name", "arity", "apply", "grow", "steps")
 
     def __init__(self, name: str, arity: int, apply: Callable[[Sequence[Graph], dict], Graph],
                  grow: Callable[..., Iterator[Emitted]] | None = None,
-                 steps: Callable[[int, int, int], Iterable[tuple]] = lambda n, k, g: (),
-                 degrees: Container[int] = ()):
-        self._set(name, arity, apply, grow, steps, degrees)
+                 steps: Callable[[int, int, int], Iterable[tuple]] | None = None):
+        self._set(name, arity, apply, grow, steps)
 
     @property
     def options(self) -> dict[str, int | None]:
@@ -111,9 +108,10 @@ def _grow_amalgams(parents, budget):
                 yield {"e1": list(e1), "e2": list(e2), "mode": mode}, out
 
 
-def _adds(count: int):
-    """Steps of an operation that adds count vertices to any stored parent."""
-    return lambda n, k, g: [(n - count, {})]
+def _adds(count: int, degree: int):
+    """Steps of an operation that adds count vertices to any stored parent
+    of the one degree it serves."""
+    return lambda n, k, g: [(n - count, {})] if k == degree else []
 
 
 def _moore_steps(n, k, g):
@@ -155,7 +153,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         "amalgamate", 2,
         lambda ps, p: amalgamate(ps[0], ps[1], p.edge("e1"), p.edge("e2"), p["mode"]),
         grow=_grow_amalgams,
-        degrees=ANY_DEGREE,
     ),
     Operation(
         "subdivide_two", 1,
@@ -163,8 +160,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         grow=lambda ps, budget, *, target_girth=None: iter_subdivide_two(
             ps[0], target_girth, budget
         ),
-        steps=_adds(2),
-        degrees=(3,),
+        steps=_adds(2, 3),
     ),
     Operation(
         "subdivide_three", 1,
@@ -172,8 +168,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         grow=lambda ps, budget, *, target_girth=None: iter_subdivide_three(
             ps[0], target_girth, budget
         ),
-        steps=_adds(4),
-        degrees=(3,),
+        steps=_adds(4, 3),
     ),
     Operation(
         "subdivide_merge", 1,
@@ -181,8 +176,7 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         grow=lambda ps, budget, *, target_girth=None: iter_subdivide_merge(
             ps[0], target_girth, budget
         ),
-        steps=_adds(1),
-        degrees=(4,),
+        steps=_adds(1, 4),
     ),
     Operation(
         "canonical_double_cover", 1,
@@ -190,7 +184,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         grow=_grow_double_cover,
         # A double cover is bipartite, so its girth is even.
         steps=lambda n, k, g: [] if n % 2 or g % 2 else [(n // 2, {})],
-        degrees=ANY_DEGREE,
     ),
     Operation(
         "moore_tree_double", 1,
@@ -201,7 +194,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             ps[0], radius, budget, root
         ),
         steps=_moore_steps,
-        degrees=ANY_DEGREE,
     ),
     Operation(
         "remove_biggs_tree", 1,
@@ -215,7 +207,6 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             ps[0], vertices, target_girth, budget
         ),
         steps=lambda n, k, g: [(n + m, {"vertices": m}) for m in (1, 2, 3, 4)],
-        degrees=ANY_DEGREE,
     ),
     Operation(
         "delete_edges_add_vertices", 1,
@@ -225,9 +216,8 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
         ),
         steps=lambda n, k, g: [
             (n - v, {"edges": e, "vertices": v})
-            for e, v in [(3, 2) if k == 3 else (2, 1)]
+            for e, v in {3: [(3, 2)], 4: [(2, 1)]}.get(k, [])
         ],
-        degrees=(3, 4),
     ),
     Operation(
         "remove_perfect_matching", 1,
@@ -240,15 +230,15 @@ OPERATIONS: dict[str, Operation] = {op.name: op for op in (
             families.CirculantSpec(p.integer("n"), p.integers("S"))
         ),
         grow=_grow_circulant,
-        steps=lambda n, k, g: [(None, {"n": n})] if g == 4 and n >= 8 else [],
-        degrees=(4,),
+        steps=lambda n, k, g: [(None, {"n": n})] if k == g == 4 and n >= 8 else [],
     ),
     Operation(
         "quartic_parity_graph", 0,
         lambda ps, p: families.quartic_parity_graph(p.integer("n")),
         grow=_grow_parity,
-        steps=lambda n, k, g: [(None, {"n": n})] if g == 6 and n >= 26 and n % 2 == 0 else [],
-        degrees=(4,),
+        steps=lambda n, k, g: (
+            [(None, {"n": n})] if k == 4 and g == 6 and n >= 26 and n % 2 == 0 else []
+        ),
     ),
     Operation(
         "gdgp", 0,

@@ -33,8 +33,8 @@ class OrderState(Enum):
     UNRESOLVED = "Unresolved"
 
 
-# Every operation the engine tries for some degree, in the table's order.
-DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.degrees)
+# Every operation with a steps rule, and the amalgam, in the table's order.
+DEFAULT_CONSTRUCTIONS = tuple(name for name, op in OPERATIONS.items() if op.steps or op.arity == 2)
 
 
 class OrderStatus(Record):
@@ -153,13 +153,10 @@ class _Engine:
         self.reps: dict[int, list[str]] = {}
         # The orders a bound or a citation rules out, fixed before any search.
         self.excluded: dict[int, OrderState] = {}
-        self.ops = {
-            arity: [
-                op for op in OPERATIONS.values()
-                if op.arity == arity and k in op.degrees and op.name in config.constructions
-            ]
-            for arity in (0, 1, 2)
-        }
+        self.ops = {arity: [] for arity in (0, 1, 2)}
+        for op in OPERATIONS.values():
+            if op.name in config.constructions:
+                self.ops[op.arity].append(op)
         self.rng = (
             random.Random(config.rng_seed) if config.rng_seed is not None else None
         )

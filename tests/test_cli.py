@@ -151,7 +151,7 @@ def test_construct_amalgamate_builds_through_the_table(tmp_path, monkeypatch):
         modes.append(params["mode"])
         return op.apply(parents, params)
 
-    patched = recipes.Operation(op.name, op.arity, apply, op.grow, op.steps, op.degrees)
+    patched = recipes.Operation(op.name, op.arity, apply, op.grow, op.steps)
     monkeypatch.setitem(recipes.OPERATIONS, "amalgamate", patched)
     src = write_g6(tmp_path / "in.g6", [petersen(), heawood()])
     out = str(tmp_path / "out.g6")

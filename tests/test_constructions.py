@@ -343,6 +343,11 @@ def test_moore_tree_depth_is_an_int():
         moore_tree_layers(petersen(), 0, 1.5)
 
 
+def test_moore_tree_depth_is_not_negative():
+    with pytest.raises(ParameterOutOfRange, match=r"^depth must not be negative, got -3$"):
+        moore_tree_layers(petersen(), 0, -3)
+
+
 @pytest.mark.parametrize("root", [1.0, True, -1, 10])
 def test_moore_root_is_checked_as_a_vertex(root):
     with pytest.raises(IndexOutOfRange, match=rf"^vertex {root} not in 0\.\.9$"):

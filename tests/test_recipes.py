@@ -22,6 +22,7 @@ from cagekit.errors import (
     NoCandidate,
     NotAnEdge,
     ParameterOutOfRange,
+    RadiusTooLarge,
     ReplayMismatch,
     UnknownOperation,
 )
@@ -174,6 +175,8 @@ def test_every_engine_step_binds_to_its_grow_signature():
     for op in OPERATIONS.values():
         if op.grow is not None:
             assert op.grow.__code__.co_argcount == 2, op.name
+        if op.steps is None:
+            continue
         for k in range(3, 6):
             for g in range(3, 9):
                 for n in range(61):
@@ -265,6 +268,13 @@ def test_replay_of_moore_double_with_a_bad_matching(alter):
     r = Recipe("moore_tree_double", (certificate(p),), params, certificate(p))
     with pytest.raises(ParameterOutOfRange, match="not a permutation"):
         replay(r, make_resolver(p))
+
+
+def test_replay_of_moore_double_with_a_negative_radius():
+    # grow never emits r < 0, so a recipe naming one builds nothing
+    params = {"r": -1, "root": 0, "matching": [0]}
+    with pytest.raises(RadiusTooLarge, match="radius -1"):
+        apply_operation("moore_tree_double", [petersen()], params)
 
 
 def test_a_repeated_removal_is_a_bug_not_one_removal():

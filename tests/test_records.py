@@ -43,10 +43,10 @@ CASES = {
     ),
     "Recipe": (recipe, lambda: recipe("xyw"), RECIPE_TEXT),
     "Operation": (
-        lambda: Operation("noop", 0, len, None, max, range(3, 5)),
-        lambda: Operation("noop", 0, len, None, min, range(3, 5)),
+        lambda: Operation("noop", 0, len, None, max),
+        lambda: Operation("noop", 0, len, None, min),
         "Operation(name='noop', arity=0, apply=<built-in function len>, grow=None, "
-        "steps=<built-in function max>, degrees=range(3, 5))",
+        "steps=<built-in function max>)",
     ),
     "OrderStatus": (status, lambda: status(14), STATUS_TEXT),
     "SearchConfig": (

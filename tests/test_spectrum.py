@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import os
+import random
 import re
 
 import pytest
 
-from cagekit import canon, recipes, spectrum
+from cagekit import canon, graph6, recipes, spectrum
 from cagekit.bounds import moore_bound, parity_admissible
 from cagekit.canon import certificate
 from cagekit.constructions import iter_subdivide_two
@@ -21,7 +22,7 @@ from cagekit.errors import (
     SpecViolation,
     UnknownOperation,
 )
-from cagekit.graph import check_kg
+from cagekit.graph import check_kg, relabeled
 from cagekit.named import (
     complete_bipartite,
     complete_graph,
@@ -41,6 +42,7 @@ from cagekit.spectrum import (
     spectrum_search,
 )
 
+from conftest import SEED34
 from helpers import cycle_graph, kneser_petersen
 
 
@@ -251,13 +253,28 @@ def test_rng_seed_changes_witnesses_not_truth(report_3_5, report_3_5_rng7):
     ("report_3_6", 729),
     ("report_4_4", 0),
     ("report_3_8", 99_146),
-    ("report_3_5_rng7", 838),
+    ("report_3_5_rng7", 891),
 ])
 def test_fixture_budget_steps(fixture, steps, request, budget_steps):
     # the deterministic work of each session run, pinned so that a change to
     # the search order shows even when every table stays the same
     request.getfixturevalue(fixture)
     assert budget_steps[fixture] == steps
+
+
+def test_relabeled_seeds_keep_the_route_to_38(report_3_8):
+    """The (3,8,62) run from relabeled seeds realizes every order the
+    fixture does, 36 aside: some labelings leave 36 Unresolved (an open
+    label dependence), and this one does."""
+    rng = random.Random(1010)
+    seeds = []
+    for g in [tutte_coxeter()] + graph6.read_file(SEED34):
+        p = list(range(g.order))
+        rng.shuffle(p)
+        seeds.append(relabeled(g, p))
+    citations = {(3, 8, 32): "no (3,8)-graph of order 32 exists (exhaustive search)"}
+    report = spectrum_search(3, 8, seeds, 62, citations=citations)
+    assert set(report_3_8.realized_orders()) - {36} <= set(report.realized_orders())
 
 
 def test_passes_repeat_until_one_realizes_nothing():
@@ -371,6 +388,20 @@ def test_no_moore_double_step_below_girth_four(k):
     assert list(steps(40, k, 4)) == [(21, {"radius": 0}), (21 + k, {"radius": 1})]
 
 
+@pytest.mark.parametrize("name, k", [
+    ("delete_edges_add_vertices", 5),
+    ("subdivide_two", 4),
+    ("subdivide_three", 4),
+    ("subdivide_merge", 3),
+    ("circulant", 3),
+    ("quartic_parity_graph", 3),
+])
+def test_no_step_for_a_degree_the_operation_does_not_serve(name, k):
+    # the steps rule alone decides where the engine grows with an operation
+    steps = recipes.OPERATIONS[name].steps
+    assert [s for g in range(3, 9) for n in range(61) for s in steps(n, k, g)] == []
+
+
 def test_construction_bug_propagates(monkeypatch):
     def broken(parent, target_girth=None, budget=None):
         raise IndexOutOfRange("vertex 99 not in 0..9")
@@ -390,7 +421,7 @@ def _grow_subdivide_two_with(monkeypatch, alter):
         for params, out in op.grow(parents, budget, **options):
             yield alter(parents[0], params), out
 
-    patched = recipes.Operation(op.name, op.arity, op.apply, grow, op.steps, op.degrees)
+    patched = recipes.Operation(op.name, op.arity, op.apply, grow, op.steps)
     monkeypatch.setitem(recipes.OPERATIONS, "subdivide_two", patched)
 
 
