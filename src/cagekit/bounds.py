@@ -8,7 +8,8 @@ from __future__ import annotations
 from .errors import ParameterOutOfRange
 
 
-def _check_kg(k: int, g: int) -> None:
+def check_degree_and_girth(k: int, g: int) -> None:
+    """ParameterOutOfRange unless some k-regular graph has girth g: k >= 2, g >= 3."""
     if k < 2:
         raise ParameterOutOfRange(f"degree {k} < 2")
     if g < 3:
@@ -17,7 +18,7 @@ def _check_kg(k: int, g: int) -> None:
 
 def moore_bound(k: int, g: int) -> int:
     """Minimum possible order of a k-regular graph of girth g."""
-    _check_kg(k, g)
+    check_degree_and_girth(k, g)
     if g % 2:
         return 1 + sum(k * (k - 1) ** i for i in range((g - 3) // 2 + 1))
     return 2 * sum((k - 1) ** i for i in range((g - 2) // 2 + 1))
@@ -26,7 +27,7 @@ def moore_bound(k: int, g: int) -> int:
 def sauer_bound(k: int, g: int) -> int:
     """Order above which a (k,g)-graph is guaranteed to exist, for k >= 3 (for
     k = 2 the formula gives 2 or 4, below the Moore bound g)."""
-    _check_kg(k, g)
+    check_degree_and_girth(k, g)
     if k < 3:
         raise ParameterOutOfRange(f"Sauer's bound needs degree >= 3, got {k}")
     if g % 2:
@@ -55,7 +56,7 @@ def excluded_by_excess(k: int, g: int, n: int) -> bool:
     even g >= 8. Orders below the Moore bound are out of domain here; the
     spectrum module reports those separately.
     """
-    _check_kg(k, g)
+    check_degree_and_girth(k, g)
     excess = n - moore_bound(k, g)
     if excess < 0:
         raise ParameterOutOfRange(f"order {n} below the Moore bound")

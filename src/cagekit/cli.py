@@ -6,7 +6,9 @@ import argparse
 import sys
 
 from . import graph6
-from .bounds import moore_bound, parity_admissible, sauer_bound, excluded_by_excess
+from .bounds import (
+    check_degree_and_girth, excluded_by_excess, moore_bound, parity_admissible, sauer_bound,
+)
 from .canon import certificate
 from .constructions import AMALGAMATE_MODES
 from .errors import CagekitError, NotAnEdge, ParameterOutOfRange
@@ -55,6 +57,7 @@ def _parse_edge(text: str) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    check_degree_and_girth(args.k, args.g)  # no line could pass otherwise
     failures = 0
     for i, g in graph6.iter_lines(args.file):
         reason = check_kg(g, args.k, args.g)

@@ -92,11 +92,11 @@ def bfs_distances(
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
-    Girth, certificate and automorphism generators are cached on the
-    instance; methods are pure, so instances are safe to share.
+    Girth, BFS depths, certificate and automorphism generators are cached
+    on the instance; methods are pure, so instances are safe to share.
     """
 
-    __slots__ = ("_adj", "_girth", "_cert", "_autos")
+    __slots__ = ("_adj", "_girth", "_depth", "_cert", "_autos")
 
     def __init__(self, adjacency: Iterable[Iterable[int]]):
         adj = [tuple(sorted(nbrs)) for nbrs in adjacency]
@@ -131,6 +131,7 @@ class Graph:
     def _set(self, adj: tuple) -> None:
         self._adj: tuple[tuple[int, ...], ...] = adj
         self._girth: int | _Sentinel | None = None
+        self._depth: list[int] | None = None
         self._cert: str | None = None
         self._autos: list[list[int]] | None = None
 
@@ -192,10 +193,32 @@ class Graph:
 
     # -- distances ------------------------------------------------------------
 
+    def _depths(self) -> list[int]:
+        """Each vertex's BFS depth from the smallest vertex of its component:
+        one pass answers connectivity, bipartiteness and the two sides."""
+        if self._depth is None:
+            depth = [-1] * self.order
+            for s in range(self.order):
+                if depth[s] < 0:
+                    bfs_distances(self._adj, s, dist=depth)
+            self._depth = depth
+        return self._depth
+
+    def _is_bipartite(self) -> bool:
+        # every edge joins depths at most one apart, so depth parity is a
+        # 2-colouring unless an edge joins two vertices of equal depth, and
+        # such an edge closes an odd cycle with their two BFS tree paths
+        depth = self._depths()
+        for du, row in zip(depth, self._adj):
+            for w in row:
+                if depth[w] == du:
+                    return False
+        return True
+
     def is_connected(self) -> bool:
         if self.order == 0:
             raise ZeroOrder("connectivity of the empty graph is undefined")
-        return -1 not in bfs_distances(self._adj, 0)
+        return self._depths().count(0) == 1
 
     # -- girth ----------------------------------------------------------------
 
@@ -204,13 +227,15 @@ class Graph:
 
         One BFS per root with two neighbours above it, over the vertices
         >= root, each cut at the depth where it can no longer find a
-        shorter cycle.
+        shorter cycle (Itai & Rodeh). On a bipartite graph, read from the
+        cached BFS depths, every cycle is even, so no search scans a level
+        for an edge inside it, and the roots stop at the first square.
         """
         if self._girth is None:
-            self._girth = self._compute_girth()
+            self._girth = self._compute_girth(self._is_bipartite())
         return self._girth
 
-    def _compute_girth(self):
+    def _compute_girth(self, bipartite: bool):
         # A cycle search with depth cuts, not a distance query. An edge from
         # depth du to a vertex already at depth dw = du or du+1 is not a tree
         # edge and closes a walk of length du+dw+1 holding a cycle; an edge
@@ -219,10 +244,13 @@ class Graph:
         # among the vertices >= its smallest vertex r, where the BFS from r
         # finds it. The cycle leaves r through two neighbours above r, so a
         # root without two such neighbours (rows are sorted) is skipped: the
-        # minimum over the other roots is still exact.
+        # minimum over the other roots is still exact. On a bipartite graph
+        # no edge joins two vertices of one depth and every closure is even,
+        # so the last level's scan is skipped and 4 ends the search as 3 does.
         n = self.order
         adj = self._adj
         best = n + 1  # longer than any cycle
+        floor = 4 if bipartite else 3  # no cycle is shorter
         # seen[v] = n*root + depth of v; an entry below n*root is left from
         # an earlier root and means unvisited, so nothing is ever reset
         seen = [-1] * n
@@ -238,10 +266,11 @@ class Graph:
                 if 2 * du + 2 >= best:
                     # no vertex at depth du+1 can improve: only an edge
                     # inside this level can still close a shorter cycle
-                    for u in level:
-                        for w in adj[u]:
-                            if seen[w] == lo:
-                                best = 2 * du + 1
+                    if not bipartite:
+                        for u in level:
+                            for w in adj[u]:
+                                if seen[w] == lo:
+                                    best = 2 * du + 1
                     break
                 nxt = []
                 for u in level:
@@ -255,7 +284,7 @@ class Graph:
                             best = sw - lo + 2 * du + 1
                 level = nxt
                 du += 1
-            if best == 3:
+            if best == floor:
                 break
         return ACYCLIC if best > n else best
 
@@ -395,17 +424,13 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 def bipartition(g: Graph) -> tuple[set, set] | None:
     """2-coloring as (side0, side1), or None if an odd cycle exists.
 
-    Colors each component by distance parity from its smallest vertex.
+    Colors each component by BFS depth parity from its smallest vertex.
     """
-    n = g.order
-    dist = [-1] * n
-    for s in range(n):
-        if dist[s] < 0:
-            bfs_distances(g.adjacency, s, dist=dist)
-    if any((dist[u] - dist[v]) % 2 == 0 for u, v in g.edges()):
+    if not g._is_bipartite():
         return None
-    return ({v for v in range(n) if dist[v] % 2 == 0},
-            {v for v in range(n) if dist[v] % 2 == 1})
+    depth = g._depths()
+    return ({v for v, d in enumerate(depth) if d % 2 == 0},
+            {v for v, d in enumerate(depth) if d % 2 == 1})
 
 
 def check_kg(g: Graph, k: int, girth: int) -> str | None:

@@ -13,6 +13,9 @@ from cagekit.constructions import amalgamate
 from cagekit.named import complete_bipartite, complete_graph, heawood, mcgee, petersen
 from cagekit.recipes import read_recipes, verified_replay
 
+from conftest import SEED34
+from helpers import cycle_graph
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 # name -> (input graphs, extra flags) for the golden construct outputs
@@ -52,6 +55,26 @@ def test_verify_numbers_the_lines_of_the_file(tmp_path, capsys):
     assert main(["verify", "--k", "3", "--g", "5", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "line 1: PASS", "line 3: FAIL girth 6, expected 5"]
+
+
+@pytest.mark.parametrize("k, g, message", [
+    ("3", "0", "girth 0 < 3"), ("3", "2", "girth 2 < 3"),
+    ("-3", "8", "degree -3 < 2"), ("1", "8", "degree 1 < 2"),
+])
+def test_verify_rejects_a_degree_or_girth_no_graph_has(tmp_path, capsys, k, g, message):
+    # checked before the file is read: a missing file is not the error
+    for path in (SEED34, str(tmp_path / "missing.g6")):
+        assert main(["verify", "--k", k, "--g", g, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ParameterOutOfRange: {message}\n"
+
+
+def test_verify_accepts_degree_two(tmp_path, capsys):
+    # the cycle C_g is the connected 2-regular graph of girth g
+    path = write_g6(tmp_path / "cycles.g6", [cycle_graph(5), petersen()])
+    assert main(["verify", "--k", "2", "--g", "5", path]) == 1
+    assert capsys.readouterr().out.splitlines() == ["line 1: PASS", "line 2: FAIL not 2-regular"]
 
 
 @pytest.mark.parametrize("command", [["verify", "--k", "3", "--g", "3"], ["girth"]])

@@ -130,6 +130,43 @@ def test_girth_matches_the_all_roots_oracle():
     assert {read_oracle.girth(g) for g in cases} >= {ACYCLIC, 3, 4, 5, 6, 7, 8}
 
 
+def _random_bipartite(n, p, rng):
+    side = [rng.random() < 0.5 for _ in range(n)]
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if side[u] != side[v] and rng.random() < p])
+
+
+def test_girth_matches_the_all_roots_oracle_on_bipartite_and_odd_components():
+    # The search skips odd-cycle scans when the graph is bipartite, so a
+    # bipartite component beside a non-bipartite one must not hide the odd
+    # cycle, in either order.
+    pairs = [(cycle_graph(4), cycle_graph(5)), (heawood(), petersen()),
+             (complete_bipartite(3, 3), cycle_graph(7)), (cycle_graph(6), cycle_graph(5)),
+             (tutte_coxeter(), cycle_graph(7))]
+    cases = [disjoint_union(a, b) for pair in pairs for a, b in (pair, pair[::-1])]
+    assert [g.girth() for g in cases] == [4, 4, 5, 5, 4, 4, 5, 5, 7, 7]
+    rng = random.Random(37)
+    cases += [_random_forest(rng.randint(1, 30), rng) for _ in range(10)]
+    cases += [Graph.from_edges(0, []), Graph.from_edges(3, [])]
+    cases += [cycle_graph(n) for n in range(3, 15)]
+    cases += [mcgee(), tutte_coxeter(), shuffled(mcgee(), rng), shuffled(tutte_coxeter(), rng)]
+    bipartite = 0
+    for i in range(2000):
+        n = rng.randint(2, 30)
+        p = rng.choice([1.5, 2.5, 4.0]) / n
+        if i % 3 == 0:
+            g = _random_bipartite(n, 2 * p, rng)
+            assert bipartition(g) is not None
+        else:
+            g = random_graph(n, p, rng)
+        bipartite += bipartition(g) is not None
+        cases.append(g)
+    assert bipartite > 800
+    for g in cases:
+        assert g.girth() == read_oracle.girth(g), g
+    assert {read_oracle.girth(g) for g in cases} >= {ACYCLIC, *range(3, 15)}
+
+
 def test_acyclic_sentinel_refuses_comparison():
     with pytest.raises(TypeError):
         _ = path_graph(3).girth() >= 3
@@ -382,6 +419,72 @@ def test_bipartition_matches_brute_force_random():
         if sides is not None:
             assert sides[0] | sides[1] == set(range(g.order))
             assert all((u in sides[0]) != (v in sides[0]) for u, v in g.edges())
+
+
+def _components(g):
+    """Each vertex's component as its least vertex, by union-find."""
+    root = list(range(g.order))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        a, b = sorted((find(u), find(v)))
+        root[b] = a
+    return [find(v) for v in range(g.order)]
+
+
+def test_bipartition_matches_brute_force_with_isolated_vertices():
+    # the two sides are the one 2-colouring that puts the least vertex of
+    # each component on side 0
+    rng = random.Random(370)
+    for _ in range(150):
+        g = random_graph(rng.randint(1, 7), rng.choice([0.2, 0.4]), rng)
+        g = shuffled(disjoint_union(g, Graph.from_edges(rng.randint(1, 3), [])), rng)
+        least = set(_components(g))
+        colourings = [
+            mask for mask in range(2**g.order)
+            if not any(mask >> v & 1 for v in least)
+            and all((mask >> u & 1) != (mask >> v & 1) for u, v in g.edges())
+        ]
+        assert len(colourings) <= 1
+        sides = bipartition(g)
+        if not colourings:
+            assert sides is None
+        else:
+            [mask] = colourings
+            assert sides == ({v for v in range(g.order) if not mask >> v & 1},
+                             {v for v in range(g.order) if mask >> v & 1})
+
+
+@pytest.mark.parametrize("g, components, bipartite", [
+    (petersen(), 1, False),
+    (disjoint_union(cycle_graph(4), cycle_graph(6)), 2, True),
+    (disjoint_union(disjoint_union(heawood(), petersen()), Graph.from_edges(2, [])), 4, False),
+    (Graph.from_edges(5, [(0, 1)]), 4, True),
+], ids=["petersen", "C4+C6", "heawood+petersen+2K1", "K2+3K1"])
+def test_one_graph_runs_one_depth_pass(monkeypatch, g, components, bipartite):
+    # connectivity, the sides and the girth's bipartite cut read one cached
+    # list of BFS depths, filled by one bfs_distances call per component,
+    # each from the component's least vertex
+    calls = []
+
+    def counted(adj, src, *args, **kwargs):
+        calls.append(src)
+        return bfs_distances(adj, src, *args, **kwargs)
+
+    g = Graph(g.adjacency)  # a fresh instance, with nothing cached
+    monkeypatch.setattr("cagekit.graph.bfs_distances", counted)
+    assert g.is_connected() == (components == 1)
+    assert (bipartition(g) is not None) == bipartite
+    assert g.girth() == read_oracle.girth(g)
+    assert calls == sorted(set(_components(g))) and len(calls) == components
+    # girth() first, on another fresh instance, runs the same pass once
+    calls.clear()
+    assert Graph(g.adjacency).girth() == g.girth()
+    assert len(calls) == components
 
 
 def _all_pairs_distances(g):
